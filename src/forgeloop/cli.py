@@ -30,11 +30,11 @@ from forgeloop.ledger import (
 from forgeloop.runner import DEFAULT_TASK, run_target
 
 
-def _ledger_path(args) -> Path:
+def _ledger_path(args, default: Path | None = None) -> Path | None:
     env = os.environ.get("FORGELOOP_LEDGER")
     if env:
         return Path(env)
-    return Path(args.ledger)
+    return Path(args.ledger) if args.ledger else default
 
 
 def _positive_speed(raw: str) -> float:
@@ -55,8 +55,7 @@ def cmd_run(args) -> int:
         return 1
 
     workspace = Path(args.workspace) if args.workspace else Path.cwd() / f"{contract.name}_workspace"
-    env_ledger = os.environ.get("FORGELOOP_LEDGER")
-    ledger = Path(env_ledger) if env_ledger else (Path(args.ledger) if args.ledger else workspace / "ledger.jsonl")
+    ledger = _ledger_path(args, default=workspace / "ledger.jsonl")
 
     try:
         outcome = run_target(
@@ -115,10 +114,7 @@ def cmd_replay(args) -> int:
     try:
         events = read_ledger(_ledger_path(args))
         replay(events, speed=args.speed)
-    except (MalformedLedger, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConsistencyViolation as exc:
+    except (MalformedLedger, OSError, ConsistencyViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

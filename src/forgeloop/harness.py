@@ -201,7 +201,10 @@ def invoke_agent(
     if server is not None:
         session = server.begin_session(bundle.role.value, round_index, allowed_tools)
 
+    # Wall-clock stamps for the ledger; the duration comes from the monotonic
+    # clock, so a clock step during the turn cannot skew it.
     started = time.time()
+    clock = time.monotonic()
     try:
         proc = subprocess.Popen(
             command,
@@ -229,7 +232,7 @@ def invoke_agent(
         stdout, stderr = proc.communicate()
         exit_kind = ExitKind.TIMEOUT
 
-    ended = time.time()
+    ended = started + (time.monotonic() - clock)
     tool_calls = 0
     result = None
     tool_log: tuple = ()

@@ -272,6 +272,11 @@ def _run_build(ws: Workspace, timeout_s: float) -> Optional[Violation]:
     return None
 
 
+def _tamper_violations(ws: Workspace) -> list[Violation]:
+    """One violation per mount whose digest no longer matches its source."""
+    return [Violation(TAMPER, f"mount {f.kind}: {f.mount}") for f in verify_mounts(ws).findings]
+
+
 def _parse_agent_verdict(result: object) -> list[Violation]:
     """The Judge agent's structured answer may add violations, never clear."""
     if not isinstance(result, dict):
@@ -326,21 +331,17 @@ def judge(
         except CheckerUnrunnable:
             # An unrunnable checker may itself be the tampering; prefer the
             # tamper report over an environment error when digests disagree.
-            tamper = verify_mounts(ws)
-            if not tamper.intact:
-                for finding in tamper.findings:
-                    violations.append(Violation(TAMPER, f"mount {finding.kind}: {finding.mount}"))
-                return Verdict(violations=tuple(violations)), None, None, tuple(notes)
+            tamper = _tamper_violations(ws)
+            if tamper:
+                return Verdict(violations=tuple(violations + tamper)), None, None, tuple(notes)
             raise
         if rc != 0:
             violations.append(Violation(ACCURACY, stderr.strip() or f"checker exited {rc}"))
 
     # (2) mounts: tampering invalidates everything else this round.
-    tamper = verify_mounts(ws)
-    if not tamper.intact:
-        for finding in tamper.findings:
-            violations.append(Violation(TAMPER, f"mount {finding.kind}: {finding.mount}"))
-        return Verdict(violations=tuple(violations)), None, None, tuple(notes)
+    tamper = _tamper_violations(ws)
+    if tamper:
+        return Verdict(violations=tuple(violations + tamper)), None, None, tuple(notes)
 
     # (3) deterministic reward-hack scan.
     if candidate_runnable:
@@ -535,6 +536,23 @@ def execute_round(
             invocations=tuple(invocations),
         )
 
+    def record_verdict(attempt: int, violations: Sequence[Violation]) -> None:
+        if ledger is not None:
+            ledger.append(
+                "verdict",
+                round_index,
+                {
+                    "passed": not violations,
+                    "attempt": attempt,
+                    "violations": [{"kind": v.kind, "detail": v.detail} for v in violations],
+                },
+            )
+
+    def tamper_exit(violations: Sequence[Violation]) -> RoundResult:
+        result = fail_round(RoundStatus.ERROR, [v.detail for v in violations])
+        restore_mounts(ws)
+        return result
+
     passed_attempt = 0
     for attempt in range(1, task.retry_budget + 1):
         bundle = assemble_prompt(
@@ -572,30 +590,16 @@ def execute_round(
                 ws, directive, contract, judge_ctx, round_index, attempt
             )
         except CheckerUnrunnable as exc:
-            if ledger is not None:
-                ledger.append("verdict", round_index, {"passed": False, "attempt": attempt,
-                                                       "violations": [{"kind": ACCURACY, "detail": str(exc)}]})
+            record_verdict(attempt, [Violation(ACCURACY, str(exc))])
             return fail_round(RoundStatus.ERROR, [str(exc)])
         if judge_inv is not None:
             invocations.append(judge_inv)
         if judge_outcome is not None:
             outcomes.append(judge_outcome)
-        if ledger is not None:
-            ledger.append(
-                "verdict",
-                round_index,
-                {
-                    "passed": verdict.passed,
-                    "attempt": attempt,
-                    "violations": [{"kind": v.kind, "detail": v.detail} for v in verdict.violations],
-                },
-            )
+        record_verdict(attempt, verdict.violations)
 
         if any(v.kind == TAMPER for v in verdict.violations):
-            details = [v.detail for v in verdict.violations]
-            result = fail_round(RoundStatus.ERROR, details)
-            restore_mounts(ws)
-            return result
+            return tamper_exit(verdict.violations)
 
         if verdict.passed:
             passed_attempt = attempt
@@ -629,22 +633,10 @@ def execute_round(
 
     # End-of-round mount verification: the Evaluator phase must not have
     # touched an artifact either; a tampered round never checkpoints.
-    end_tamper = verify_mounts(ws)
-    if not end_tamper.intact:
-        details = [f"mount {f.kind}: {f.mount}" for f in end_tamper.findings]
-        if ledger is not None:
-            ledger.append(
-                "verdict",
-                round_index,
-                {
-                    "passed": False,
-                    "attempt": passed_attempt,
-                    "violations": [{"kind": TAMPER, "detail": d} for d in details],
-                },
-            )
-        result = fail_round(RoundStatus.ERROR, details)
-        restore_mounts(ws)
-        return result
+    end_tamper = _tamper_violations(ws)
+    if end_tamper:
+        record_verdict(passed_attempt, end_tamper)
+        return tamper_exit(end_tamper)
 
     try:
         checkpoint = commit_checkpoint(ws, round_index, report, verdict)

@@ -8,6 +8,7 @@ and replays are all reconstructed from this file.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,7 +59,8 @@ class LedgerEvent:
 
 
 class LedgerWriter:
-    """Single-writer appender; each event hits disk before append returns."""
+    """Appends events to one ledger file; each hits disk before append returns.
+    Appends are serialized: the tool server's handler threads append too."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -68,20 +70,22 @@ class LedgerWriter:
         if existing:
             self._seq = existing[-1].seq
         self._fh = self.path.open("a", encoding="utf-8")
+        self._lock = threading.Lock()
 
     def append(self, kind: str, round_index: int, payload: dict) -> LedgerEvent:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind: {kind}")
-        self._seq += 1
-        event = LedgerEvent(
-            seq=self._seq,
-            timestamp=time.time(),
-            kind=kind,
-            round=round_index,
-            payload=payload,
-        )
-        self._fh.write(event.to_json() + "\n")
-        self._fh.flush()
+        with self._lock:
+            self._seq += 1
+            event = LedgerEvent(
+                seq=self._seq,
+                timestamp=time.time(),
+                kind=kind,
+                round=round_index,
+                payload=payload,
+            )
+            self._fh.write(event.to_json() + "\n")
+            self._fh.flush()
         return event
 
     def close(self) -> None:
@@ -201,8 +205,12 @@ class StatusSummary:
 
 
 def status_summary(events: list[LedgerEvent]) -> StatusSummary:
+    """Best is the checkpoint the last ``round_finished`` names as kept; ledgers
+    without ``best_commit`` fall back to the highest metric checkpointed."""
     current_round = None
     best: Optional[tuple[str, float, str, bool]] = None
+    checkpoints: dict[str, tuple[str, float, str, bool]] = {}
+    kept: Optional[dict] = None  # the last round_finished payload naming the kept checkpoint
     backlog = {"open": 0, "in_progress": 0}
     last_ts = None
     for ev in events:
@@ -212,13 +220,19 @@ def status_summary(events: list[LedgerEvent]) -> StatusSummary:
         elif ev.kind == "checkpoint":
             metric = float(ev.payload["metric"])
             higher = bool(ev.payload.get("higher_is_better", True))
+            entry = (ev.payload["commit"], metric, ev.payload.get("unit", ""), higher)
+            checkpoints[entry[0]] = entry
             if best is None or (metric > best[1] if higher else metric < best[1]):
-                best = (ev.payload["commit"], metric, ev.payload.get("unit", ""), higher)
+                best = entry
         elif ev.kind == "round_finished":
+            if "best_commit" in ev.payload:
+                kept = ev.payload
             counts = ev.payload.get("backlog")
             if isinstance(counts, dict):
                 backlog["open"] = int(counts.get("open", 0))
                 backlog["in_progress"] = int(counts.get("in_progress", 0))
+    if kept is not None:
+        best = checkpoints.get(kept["best_commit"])
     return StatusSummary(
         current_round=current_round,
         best_commit=best[0] if best else None,

@@ -19,7 +19,6 @@ role and round. Calls outside any session are policy-level rejections.
 from __future__ import annotations
 
 import json
-import socket
 import socketserver
 import threading
 from dataclasses import dataclass, field
@@ -314,39 +313,3 @@ class ToolServer:
             self._server.server_close()
             self._server = None
 
-
-class ToolClient:
-    """Line-framed JSON-RPC client used by the scripted stub."""
-
-    def __init__(self, socket_path: str):
-        self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            self._sock.connect(socket_path)
-        except OSError as exc:
-            raise TransportUnavailable(f"cannot reach tool endpoint {socket_path}: {exc}") from exc
-        self._file = self._sock.makefile("rw", encoding="utf-8")
-        self._next_id = 0
-
-    def request(self, method: str, params: Optional[dict] = None) -> dict:
-        self._next_id += 1
-        doc = {"jsonrpc": "2.0", "id": self._next_id, "method": method}
-        if params is not None:
-            doc["params"] = params
-        self._file.write(json.dumps(doc) + "\n")
-        self._file.flush()
-        line = self._file.readline()
-        if not line:
-            raise McpError("tool endpoint closed the connection")
-        return json.loads(line)
-
-    def call_tool(self, name: str, arguments: dict) -> dict:
-        return self.request("tools/call", {"name": name, "arguments": arguments})
-
-    def emit_result(self, payload: dict) -> dict:
-        return self.request("result/emit", payload)
-
-    def close(self) -> None:
-        try:
-            self._file.close()
-        finally:
-            self._sock.close()

@@ -1,9 +1,10 @@
 """Outer-loop planning over validated checkpoints.
 
-Three interchangeable policies share one per-round contract (begin_round /
-end_round) plus two coordination mechanisms: checkpoints are git commits
-(cheap reverts when a validated round regresses), and inner-loop agents
-talk back through the policy's tool schema.
+Three interchangeable policies share one base, ``Policy``: the per-round
+contract (begin_round / end_round) and two coordination mechanisms.
+Checkpoints are git commits, and the base keeps the best one, reverting to
+it when a validated round regresses; inner-loop agents talk back through
+the policy's tool schema, whose ``record_finding`` tool every policy serves.
 
 * issue-tracker: a backlog of structured issues plus a long-term memory
   markdown file. Agents file issues over the tool contract; each round
@@ -191,7 +192,6 @@ class RoundDirective:
     task_text: str
     pass_criteria: tuple[str, ...]
     toolset: tuple[ToolSpec, ...]
-    revert_requested: Optional[Checkpoint] = None
     issue_id: Optional[int] = None
 
     def __post_init__(self):
@@ -200,7 +200,6 @@ class RoundDirective:
 
 
 BOOTSTRAP_TITLE = "bootstrap: produce a minimal correct serving system"
-BOOTSTRAP_CRITERIA = ("the candidate passes the accuracy checker",)
 DEFAULT_CRITERIA = ("the candidate passes the accuracy checker",)
 
 # A revert hook receives (checkpoint, reason); the runner wires it to
@@ -208,14 +207,60 @@ DEFAULT_CRITERIA = ("the candidate passes the accuracy checker",)
 RevertFn = Callable[[Checkpoint, str], None]
 
 
-def _default_revert(ws: Workspace) -> RevertFn:
-    def do_revert(cp: Checkpoint, _reason: str) -> None:
-        revert_to(ws, cp)
+class Policy:
+    """The core every policy shares: the best validated checkpoint under the
+    noise-floor rule, the revert to it when a validated round regresses, and
+    the ``record_finding`` tool. Subclasses plan the rounds."""
 
-    return do_revert
+    def __init__(self, workspace: Workspace, epsilon_rel: float, revert_fn: Optional[RevertFn]):
+        self.workspace = workspace
+        self.best = BestTracker(epsilon_rel=epsilon_rel)
+        self.revert_fn = revert_fn or (lambda cp, _reason: revert_to(workspace, cp))
+
+    def keep_or_revert(self, cp: Checkpoint) -> bool:
+        """Keep ``cp`` if it beats the best, else revert to the best; True if kept."""
+        improved = self.best.consider(cp)
+        if not improved:
+            self.revert_fn(self.best.best, "validated round regressed on the headline metric")
+        return improved
+
+    def record_finding(self, ctx: SessionContext, args: dict) -> dict:
+        # Findings are consumed from the per-invocation tool log; the handler
+        # only acknowledges so hints stay attributable to their invocation.
+        return {"recorded": True}
+
+    def toolset(self) -> tuple[ToolSpec, ...]:
+        """The tools a round's agents may call."""
+        return (
+            ToolSpec(
+                name="record_finding",
+                description="Record a performance or review finding for the policy.",
+                input_schema={
+                    "type": "object",
+                    "properties": {"text": {"type": "string", "minLength": 1}},
+                    "required": ["text"],
+                    "additionalProperties": False,
+                },
+                handler=self.record_finding,
+            ),
+        )
+
+    def served_toolset(self) -> tuple[ToolSpec, ...]:
+        """Every tool the run's tool server exposes; ``allowed_tools`` narrows it per role."""
+        return self.toolset()
+
+    def allowed_tools(self, role: AgentRole) -> Optional[Sequence[str]]:
+        return ("record_finding",)
+
+    def backlog_counts(self) -> dict[str, int]:
+        return {s: 0 for s in STATUSES}
+
+    def round_transition(self, directive: RoundDirective) -> Optional[str]:
+        """The issue transition a finished round made, if the policy tracks issues."""
+        return None
 
 
-class IssueTrackerPolicy:
+class IssueTrackerPolicy(Policy):
     """Backlog of structured issues + MemoryDoc, persisted at the workspace root."""
 
     name = "issue_tracker"
@@ -229,12 +274,10 @@ class IssueTrackerPolicy:
         revert_fn: Optional[RevertFn] = None,
         seed_task: bool = True,
     ):
-        self.workspace = workspace
+        super().__init__(workspace, epsilon_rel, revert_fn)
         self.stub_mode = stub_mode
         self.orchestrator_invoker = orchestrator_invoker
-        self.revert_fn = revert_fn or _default_revert(workspace)
         self.seed_task = seed_task
-        self.best = BestTracker(epsilon_rel=epsilon_rel)
         self.issues: dict[int, Issue] = {}
         self._next_id = 1
         self._current: Optional[Issue] = None
@@ -311,10 +354,9 @@ class IssueTrackerPolicy:
         self._persist()
         return {"issue_id": issue.id, "status": issue.status}
 
-    def record_finding(self, ctx: SessionContext, args: dict) -> dict:
-        # Findings are consumed from the per-invocation tool log; the handler
-        # only acknowledges so hints stay attributable to their invocation.
-        return {"recorded": True}
+    # Defined on this class too: overheadbench's tracer wraps only methods a
+    # class defines itself, and times this one with the other tool handlers.
+    record_finding = Policy.record_finding
 
     def select_issue_tool(self, ctx: SessionContext, args: dict) -> dict:
         issue = self.issues.get(args["issue_id"])
@@ -362,20 +404,9 @@ class IssueTrackerPolicy:
                 },
                 handler=self.update_issue_status,
             ),
-            ToolSpec(
-                name="record_finding",
-                description="Record a performance or review finding for the policy.",
-                input_schema={
-                    "type": "object",
-                    "properties": {"text": {"type": "string", "minLength": 1}},
-                    "required": ["text"],
-                    "additionalProperties": False,
-                },
-                handler=self.record_finding,
-            ),
-        )
+        ) + super().toolset()
 
-    def orchestrator_toolset(self) -> tuple[ToolSpec, ...]:
+    def served_toolset(self) -> tuple[ToolSpec, ...]:
         select = ToolSpec(
             name="select_issue",
             description="Choose the open issue to dispatch this round.",
@@ -403,14 +434,11 @@ class IssueTrackerPolicy:
             dep in self.issues and self.issues[dep].status == "done" for dep in issue.depends_on
         )
 
-    def _eligible(self) -> list[Issue]:
-        return [i for i in self.issues.values() if i.status == "open" and self._deps_done(i)]
-
     def select_issue(self, round_index: int) -> Issue:
         open_issues = [i for i in self.issues.values() if i.status == "open"]
         if not open_issues:
             raise Exhausted("no open issues in the backlog")
-        eligible = self._eligible()
+        eligible = [i for i in open_issues if self._deps_done(i)]
         if not eligible:
             raise NoEligibleIssue("every open issue is blocked by an unfinished dependency")
         if not self.stub_mode and self.orchestrator_invoker is not None:
@@ -431,7 +459,7 @@ class IssueTrackerPolicy:
                 title=BOOTSTRAP_TITLE,
                 rationale="An empty workspace has nothing to optimize; start from a "
                 "correct baseline that the checker accepts.",
-                acceptance_criteria=BOOTSTRAP_CRITERIA,
+                acceptance_criteria=DEFAULT_CRITERIA,
                 expected_impact="high",
                 round_filed=0,
             )
@@ -459,34 +487,29 @@ class IssueTrackerPolicy:
         if result.status is RoundStatus.VALIDATED:
             if issue.status == "in_progress":
                 transition_issue(issue, "done")
-            improved = self.best.consider(result.commit)
             line = (
                 f"- round {result.commit.round}: {issue.title} -> validated, "
                 f"metric {result.commit.metric:g} {result.commit.unit}"
             )
             self.memory.append_line("Directions Tried", line)
-            if not improved and self.best.best is not None:
-                # Correct but regressed on the headline: fall back to the best.
-                self.revert_fn(self.best.best, "validated round regressed on the headline metric")
+            if not self.keep_or_revert(result.commit):
                 self.memory.append_line(
                     "Evidence Against",
                     f"- round {result.commit.round}: {issue.title} regressed the headline; reverted",
                 )
-        elif result.status is RoundStatus.FAILED_BUDGET:
+        else:
             issue.attempts += 1
             if issue.status == "in_progress":
                 transition_issue(issue, "open")
-            detail = result.feedback[0] if result.feedback else "no feedback"
-            self.memory.append_line(
-                "Directions Tried",
-                f"- {issue.title}: failed retry budget (attempt {issue.attempts}); {detail}",
-            )
-        else:  # error
-            issue.attempts += 1
-            if issue.status == "in_progress":
-                transition_issue(issue, "open")
-            detail = result.feedback[0] if result.feedback else "environment error"
-            self.memory.append_line("Platform Notes", f"- {issue.title}: round errored; {detail}")
+            if result.status is RoundStatus.FAILED_BUDGET:
+                detail = result.feedback[0] if result.feedback else "no feedback"
+                self.memory.append_line(
+                    "Directions Tried",
+                    f"- {issue.title}: failed retry budget (attempt {issue.attempts}); {detail}",
+                )
+            else:  # error
+                detail = result.feedback[0] if result.feedback else "environment error"
+                self.memory.append_line("Platform Notes", f"- {issue.title}: round errored; {detail}")
         self._persist()
 
     def backlog_counts(self) -> dict[str, int]:
@@ -494,6 +517,9 @@ class IssueTrackerPolicy:
         for issue in self.issues.values():
             counts[issue.status] += 1
         return counts
+
+    def round_transition(self, directive: RoundDirective) -> Optional[str]:
+        return f"in_progress->{self.issues[directive.issue_id].status}"
 
 
 # -- evolutionary ----------------------------------------------------------------
@@ -503,10 +529,9 @@ class IssueTrackerPolicy:
 class EvolutionaryState:
     population: list[tuple[Checkpoint, float]] = field(default_factory=list)
     capacity: int = 8
-    rng_seed: int = 42
 
 
-class EvolutionaryPolicy:
+class EvolutionaryPolicy(Policy):
     """Population search over checkpoints; a scalar score is the whole state."""
 
     name = "evolutionary"
@@ -521,20 +546,11 @@ class EvolutionaryPolicy:
         epsilon_rel: float = 0.005,
         revert_fn: Optional[RevertFn] = None,
     ):
-        self.workspace = workspace
+        super().__init__(workspace, epsilon_rel, revert_fn)
         self.seed_task = seed_task
-        self.state = EvolutionaryState(capacity=capacity, rng_seed=rng_seed)
+        self.state = EvolutionaryState(capacity=capacity)
         self._rng = DeterministicRng(rng_seed)
-        self.best = BestTracker(epsilon_rel=epsilon_rel)
-        self.revert_fn = revert_fn or _default_revert(workspace)
         self._parent: Optional[Checkpoint] = None
-        self._tools = _finding_only_toolset()
-
-    def toolset(self) -> tuple[ToolSpec, ...]:
-        return self._tools
-
-    def allowed_tools(self, role: AgentRole) -> Optional[Sequence[str]]:
-        return ("record_finding",)
 
     def select_parent(self) -> Checkpoint:
         population = self.state.population
@@ -552,22 +568,18 @@ class EvolutionaryPolicy:
         return entrants[0][0]
 
     def begin_round(self, round_index: int) -> RoundDirective:
-        if not self.state.population:
-            if self.seed_task is None:
-                raise Exhausted("empty population and no seed task configured")
-            return RoundDirective(
-                start=None,
-                task_text=self.seed_task,
-                pass_criteria=DEFAULT_CRITERIA,
-                toolset=self.toolset(),
+        if self.state.population:
+            parent = self.select_parent()
+            task = (
+                f"Improve the serving system starting from checkpoint {parent.commit[:12]} "
+                f"(round {parent.round}, metric {parent.metric:g} {parent.unit}). "
+                "Change one thing; keep the checker green."
             )
-        parent = self.select_parent()
+        elif self.seed_task is not None:
+            parent, task = None, self.seed_task
+        else:
+            raise Exhausted("empty population and no seed task configured")
         self._parent = parent
-        task = (
-            f"Improve the serving system starting from checkpoint {parent.commit[:12]} "
-            f"(round {parent.round}, metric {parent.metric:g} {parent.unit}). "
-            "Change one thing; keep the checker green."
-        )
         return RoundDirective(
             start=parent,
             task_text=task,
@@ -596,18 +608,13 @@ class EvolutionaryPolicy:
         self.record_child(self._parent, result)
         self._parent = None
         if result.status is RoundStatus.VALIDATED and result.commit is not None:
-            improved = self.best.consider(result.commit)
-            if not improved and self.best.best is not None:
-                self.revert_fn(self.best.best, "validated round regressed on the headline metric")
-
-    def backlog_counts(self) -> dict[str, int]:
-        return {s: 0 for s in STATUSES}
+            self.keep_or_revert(result.commit)
 
 
 # -- Ralph ----------------------------------------------------------------------
 
 
-class RalphPolicy:
+class RalphPolicy(Policy):
     """The same task every round, with the whole prior history as context."""
 
     name = "ralph"
@@ -621,18 +628,9 @@ class RalphPolicy:
     ):
         if not task_text.strip():
             raise PolicyError("ralph needs a fixed task text")
-        self.workspace = workspace
+        super().__init__(workspace, epsilon_rel, revert_fn)
         self.task_text = task_text
-        self.best = BestTracker(epsilon_rel=epsilon_rel)
-        self.revert_fn = revert_fn or _default_revert(workspace)
         self._history_path = workspace.root / "RALPH_HISTORY.md"
-        self._tools = _finding_only_toolset()
-
-    def toolset(self) -> tuple[ToolSpec, ...]:
-        return self._tools
-
-    def allowed_tools(self, role: AgentRole) -> Optional[Sequence[str]]:
-        return ("record_finding",)
 
     def _history(self) -> str:
         if self._history_path.exists():
@@ -655,9 +653,7 @@ class RalphPolicy:
                 f"- round {result.commit.round}: validated, metric "
                 f"{result.commit.metric:g} {result.commit.unit}"
             )
-            improved = self.best.consider(result.commit)
-            if not improved and self.best.best is not None:
-                self.revert_fn(self.best.best, "validated round regressed on the headline metric")
+            if not self.keep_or_revert(result.commit):
                 summary += " (regressed; reverted to best)"
         else:
             detail = result.feedback[0] if result.feedback else "no feedback"
@@ -666,25 +662,3 @@ class RalphPolicy:
         self._history_path.write_text(
             (history + "\n" + summary).strip("\n") + "\n", encoding="utf-8"
         )
-
-    def backlog_counts(self) -> dict[str, int]:
-        return {s: 0 for s in STATUSES}
-
-
-def _finding_only_toolset() -> tuple[ToolSpec, ...]:
-    def record(ctx: SessionContext, args: dict) -> dict:
-        return {"recorded": True}
-
-    return (
-        ToolSpec(
-            name="record_finding",
-            description="Record a performance or review finding for the policy.",
-            input_schema={
-                "type": "object",
-                "properties": {"text": {"type": "string", "minLength": 1}},
-                "required": ["text"],
-                "additionalProperties": False,
-            },
-            handler=record,
-        ),
-    )

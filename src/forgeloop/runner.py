@@ -22,7 +22,14 @@ from typing import Optional
 
 from forgeloop.contract import TargetContract, validate_contract
 from forgeloop.errors import ForgeloopError
-from forgeloop.harness import AgentRole, HarnessConfig, assemble_prompt, invoke_agent, scripted_stub
+from forgeloop.harness import (
+    AgentRole,
+    HarnessConfig,
+    assemble_prompt,
+    invoke_agent,
+    prompt_digest,
+    scripted_stub,
+)
 from forgeloop.innerloop import RoundStatus, RoundTask, ScanConfig, execute_round
 from forgeloop.ledger import LedgerWriter
 from forgeloop.mcp import ToolServer
@@ -181,12 +188,7 @@ def run_target(
             )
 
     policy = make_policy(policy_name, ws, mode, task_text, revert_fn, orchestrator_invoker)
-    toolset = (
-        policy.orchestrator_toolset()
-        if isinstance(policy, IssueTrackerPolicy)
-        else policy.toolset()
-    )
-    server = ToolServer(list(toolset), ledger=ledger)
+    server = ToolServer(list(policy.served_toolset()), ledger=ledger)
     server.serve(endpoint)
 
     checkpoints = 0
@@ -209,11 +211,9 @@ def run_target(
                     "policy": policy.name,
                     "issue_id": directive.issue_id,
                     "start_commit": directive.start.commit if directive.start else ws.head,
-                    "task_digest": None,
+                    "task_digest": prompt_digest(directive.task_text),
                 },
             )
-            if directive.revert_requested is not None:
-                revert_fn(directive.revert_requested, "requested by policy at round start")
 
             task = RoundTask(
                 directive=directive,
@@ -243,20 +243,17 @@ def run_target(
                         access_tracer=scan_config.access_tracer,
                     )
             policy.end_round(directive, result, round_index)
-
-            transition = None
-            if directive.issue_id is not None and isinstance(policy, IssueTrackerPolicy):
-                issue = policy.issues[directive.issue_id]
-                transition = f"in_progress->{issue.status}"
+            best = policy.best.best
             ledger.append(
                 "round_finished",
                 round_index,
                 {
                     "status": result.status.value,
                     "issue_id": directive.issue_id,
-                    "transition": transition,
+                    "transition": policy.round_transition(directive),
                     "metric": result.metric.metric if result.metric else None,
-                    "best_metric": policy.best.best.metric if policy.best.best else None,
+                    "best_metric": best.metric if best else None,
+                    "best_commit": best.commit if best else None,
                     "backlog": policy.backlog_counts(),
                 },
             )

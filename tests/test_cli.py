@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, env overrides."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -81,6 +82,56 @@ def test_report_and_status_over_run_ledger(success_run, capsys):
     out = capsys.readouterr().out
     assert "current round: 0" in out
     assert "best:" in out
+
+
+# Reports the metric the candidate declares in candidate/metric.
+PLANTED_BENCHMARK = (
+    "#!/usr/bin/env python3\n"
+    "import json, sys\n"
+    "from pathlib import Path\n"
+    "metric = float((Path(sys.argv[1]) / 'metric').read_text())\n"
+    "print(json.dumps({'metric': metric, 'unit': 'tok_per_s', 'higher_is_better': True}))\n"
+)
+
+
+def test_status_names_the_checkpoint_the_loop_kept(tmp_path, capsys):
+    # Round 1 gains 0.3 %, inside the 0.5 % noise floor, so the loop reverts
+    # to round 0; status must name round 0, not the higher reverted round.
+    config = toy.write_target(tmp_path / "target", max_rounds=2, retry_budget=1, ref_delay=0.0)
+    (tmp_path / "target" / "benchmark").write_text(PLANTED_BENCHMARK)
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    toy.write_script(
+        scripts / "implementer_r0_a1.jsonl",
+        [
+            {"step": "apply_patch", "patch": toy.new_file_diff("candidate/run", toy.candidate_source(0.0))},
+            {"step": "apply_patch", "patch": toy.new_file_diff("candidate/metric", "100.0\n", mode="100644")},
+        ],
+    )
+    toy.write_script(
+        scripts / "implementer_r1_a1.jsonl",
+        [{"step": "apply_patch", "patch": toy.modify_diff("candidate/metric", "100.0\n", "100.3\n")}],
+    )
+    ws, ledger = tmp_path / "ws", tmp_path / "ledger.jsonl"
+    code = run_cli(
+        [
+            "run",
+            "--config", str(config),
+            "--policy", "ralph",
+            "--mode", "stub",
+            "--stub-scripts", str(scripts),
+            "--workspace", str(ws),
+            "--ledger", str(ledger),
+        ]
+    )
+    assert code == 0
+    round0 = subprocess.run(
+        ["git", "-C", str(ws), "rev-parse", "round-0^{commit}"], capture_output=True, text=True, check=True
+    ).stdout.strip()
+    capsys.readouterr()
+    assert run_cli(["status", "--ledger", str(ledger)]) == 0
+    best = [line for line in capsys.readouterr().out.splitlines() if line.startswith("best:")]
+    assert best == [f"best: 100 tok_per_s at {round0[:12]}"]
 
 
 def test_replay_valid_ledger_exit_zero(success_run, capsys):

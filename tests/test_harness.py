@@ -124,6 +124,16 @@ def test_invoke_agent_runs_in_workspace_with_sanitized_env(toy_workspace, tmp_pa
     assert invocation.prompt_digest == prompt_digest(render_prompt(bundle_for()))
 
 
+def test_invocation_duration_ignores_wall_clock_steps(toy_workspace, monkeypatch):
+    # The wall clock steps back an hour mid-turn; the duration must not.
+    stamps = iter([10_000.0, 10_000.0 - 3600.0])
+    monkeypatch.setattr(time, "time", lambda: next(stamps, 10_000.0 - 3600.0))
+    cfg = HarnessConfig(command_template=(sys.executable, "-c", "pass"), timeout_s=10)
+    _, invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0)
+    assert 0 <= invocation.duration < 60
+    assert invocation.started == 10_000.0
+
+
 def test_invoke_agent_spawn_failure(toy_workspace):
     cfg = HarnessConfig(command_template=("/no/such/binary",), timeout_s=5)
     with pytest.raises(SpawnFailed):

@@ -1,6 +1,8 @@
 """Ledger: append-only growth, crash recovery, reports, replay checks."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -36,6 +38,32 @@ def test_seq_strictly_increasing_and_flushed(tmp_path):
         assert later.startswith(earlier)
     events = read_ledger(path)
     assert [e.seq for e in events] == [1, 2, 3, 4, 5]
+
+
+def test_concurrent_appends_keep_seqs_contiguous(tmp_path):
+    # The tool server's handler threads append tool_call events while the
+    # loop appends the rest; a lost seq update would leave a gap or a repeat.
+    path = tmp_path / "ledger.jsonl"
+    writer = LedgerWriter(path)
+
+    def append_many(worker):
+        for i in range(200):
+            writer.append("tool_call", 0, {"worker": worker, "i": i})
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=append_many, args=(w,)) for w in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+        writer.close()
+    assert not any(t.is_alive() for t in threads)
+    events = read_ledger(path)
+    assert [e.seq for e in events] == list(range(1, 1601))
 
 
 def test_writer_resumes_sequence_after_reopen(tmp_path):

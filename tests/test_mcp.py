@@ -11,13 +11,13 @@ from forgeloop.mcp import (
     InvalidToolset,
     SessionContext,
     ToolCall,
-    ToolClient,
     ToolServer,
     ToolSpec,
     handle_call,
     validate_toolset,
 )
 from forgeloop.policy import IssueTrackerPolicy
+from forgeloop.stubagent import _Client
 
 GOLDEN = Path(__file__).parent / "golden" / "mcp_transcript.json"
 
@@ -255,12 +255,12 @@ def test_socket_transport_round_trip(server, tmp_path):
     server.serve(sock)
     try:
         server.begin_session("Implementer", 0)
-        client = ToolClient(sock)
-        init = client.request("initialize")
+        client = _Client(sock)
+        init = client.request("initialize", {})
         assert init["result"]["serverInfo"]["name"] == "forgeloop"
-        called = client.call_tool("record_finding", {"text": "via socket"})
+        called = client.request("tools/call", {"name": "record_finding", "arguments": {"text": "via socket"}})
         assert called["result"]["ok"] is True
-        emitted = client.emit_result({"approve": False})
+        emitted = client.request("result/emit", {"approve": False})
         assert emitted["result"]["ok"] is True
         client.close()
         done = server.end_session()

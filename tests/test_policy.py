@@ -229,17 +229,25 @@ def test_failed_budget_reopens_with_attempt_count(policy):
     assert "failed retry budget" in policy.memory.sections["Directions Tried"]
 
 
-def test_regressing_validated_round_reverts_to_best(policy):
+POLICIES = {
+    "issue_tracker": lambda ws, revert_fn: IssueTrackerPolicy(ws, revert_fn=revert_fn),
+    "evolutionary": lambda ws, revert_fn: EvolutionaryPolicy(ws, seed_task="s", revert_fn=revert_fn),
+    "ralph": lambda ws, revert_fn: RalphPolicy(ws, task_text="fixed", revert_fn=revert_fn),
+}
+
+
+@pytest.mark.parametrize("name", list(POLICIES))
+def test_regressing_validated_round_reverts_to_best(name, toy_workspace):
+    reverts = []
+    policy = POLICIES[name](toy_workspace, lambda c, reason: reverts.append((c, reason)))
     d0 = policy.begin_round(0)
     policy.end_round(d0, validated(0, metric=100.0), 0)
-    file_issue(policy, "next", "medium")
+    if isinstance(policy, IssueTrackerPolicy):
+        file_issue(policy, "next", "medium")
     d1 = policy.begin_round(1)
     policy.end_round(d1, validated(1, metric=80.0), 1)  # -20%: regression
-    assert len(policy.test_reverts) == 1
-    reverted_to, reason = policy.test_reverts[0]
-    assert reverted_to.metric == 100.0
-    assert "regressed" in reason
-    assert policy.best.best.metric == 100.0
+    assert reverts == [(cp(0, metric=100.0), "validated round regressed on the headline metric")]
+    assert policy.best.best == cp(0, metric=100.0)
 
 
 def test_error_round_reopens_and_notes_platform(policy):

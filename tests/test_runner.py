@@ -1,5 +1,6 @@
 """Full-run driver: stub runs end to end across the three policies."""
 
+import hashlib
 import subprocess
 
 import pytest
@@ -48,6 +49,24 @@ def test_single_round_success(tmp_path):
     assert finished.payload["status"] == "validated"
     assert finished.payload["transition"] == "in_progress->done"
     assert finished.payload["backlog"]["done"] == 1
+
+
+def test_round_started_carries_the_task_digest(tmp_path):
+    contract = fast_target(tmp_path, max_rounds=1, retry_budget=1)
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    run_target(
+        contract,
+        workspace_root=tmp_path / "ws",
+        ledger_path=tmp_path / "ledger.jsonl",
+        policy_name="evolutionary",  # round 0 dispatches the task text as given
+        stub_scripts=scripts,
+        task_text="tune the toy service",
+    )
+    started = [e for e in read_ledger(tmp_path / "ledger.jsonl") if e.kind == "round_started"]
+    assert [e.payload["task_digest"] for e in started] == [
+        hashlib.sha256(b"tune the toy service").hexdigest()
+    ]
 
 
 def test_run_with_no_scripts_fails_cleanly(tmp_path):
