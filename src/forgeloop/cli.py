@@ -17,7 +17,6 @@ from pathlib import Path
 
 from forgeloop.contract import load_contract
 from forgeloop.errors import ForgeloopError
-from forgeloop.gates.loadgen import LoadSpec, gen_poisson_schedule
 from forgeloop.ledger import (
     ConsistencyViolation,
     MalformedLedger,
@@ -27,7 +26,6 @@ from forgeloop.ledger import (
     role_report,
     status_summary,
 )
-from forgeloop.runner import DEFAULT_TASK, run_target
 
 
 def _ledger_path(args, default: Path | None = None) -> Path | None:
@@ -48,6 +46,10 @@ def _positive_speed(raw: str) -> float:
 
 
 def cmd_run(args) -> int:
+    # Each subcommand imports what only it needs (here the loop's modules,
+    # jsonschema and yaml), so the read-only ones start fast.
+    from forgeloop.runner import DEFAULT_TASK, run_target
+
     try:
         contract = load_contract(args.config)
     except (ForgeloopError, OSError, json.JSONDecodeError) as exc:
@@ -121,6 +123,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_loadgen(args) -> int:
+    from forgeloop.gates.loadgen import LoadSpec, gen_poisson_schedule
+
     try:
         spec = LoadSpec.from_json(json.loads(Path(args.spec).read_text(encoding="utf-8")))
     except (ForgeloopError, OSError, json.JSONDecodeError) as exc:

@@ -1,43 +1,7 @@
-"""Quantitative machinery: load generation, serving metrics, image gate."""
+"""Quantitative machinery: load generation, serving metrics, image gate.
 
-from forgeloop.gates.image import (
-    DimensionMismatch,
-    GateResult,
-    ImageGateSpec,
-    MalformedPPM,
-    image_gate,
-    parse_image,
-    write_image,
-)
-from forgeloop.gates.loadgen import LoadSpec, gen_poisson_schedule, run_open_loop
-from forgeloop.gates.metrics import (
-    MetricParseError,
-    MetricReport,
-    MetricsSummary,
-    NoCompleteRecords,
-    RequestRecord,
-    compute_metrics,
-    parse_metric_line,
-)
-from forgeloop.gates.rng import DeterministicRng
-
-__all__ = [
-    "DeterministicRng",
-    "DimensionMismatch",
-    "GateResult",
-    "ImageGateSpec",
-    "LoadSpec",
-    "MalformedPPM",
-    "MetricParseError",
-    "MetricReport",
-    "MetricsSummary",
-    "NoCompleteRecords",
-    "RequestRecord",
-    "compute_metrics",
-    "gen_poisson_schedule",
-    "image_gate",
-    "parse_image",
-    "parse_metric_line",
-    "run_open_loop",
-    "write_image",
-]
+Import from the submodules (``gates.image``, ``gates.loadgen``,
+``gates.metrics``, ``gates.rng``): the package re-exports nothing, so a
+loop process that needs the seeded RNG does not load numpy for the image
+gate.
+"""

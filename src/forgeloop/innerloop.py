@@ -34,6 +34,7 @@ from forgeloop.harness import (
     AgentInvocation,
     HarnessConfig,
     InvocationOutcome,
+    _kill_process_group,
     assemble_prompt,
     invoke_agent,
 )
@@ -418,14 +419,33 @@ def run_benchmark(ws: Workspace, contract: TargetContract) -> MetricReport:
 
 
 def run_profilers(ws: Workspace, contract: TargetContract) -> list[tuple[str, str]]:
-    """Run each configured profiler command; outputs are attached raw."""
+    """Run each configured profiler command; outputs are attached raw. A
+    profiler that hangs or cannot start leaves a note as its output, so the
+    round still reaches its checkpoint."""
     outputs = []
     for template in contract.profiler_commands:
         command = template.format(candidate_root=ws.candidate_root, workspace=ws.root)
-        proc = subprocess.run(
-            command, shell=True, capture_output=True, text=True, cwd=ws.root, timeout=300
-        )
-        outputs.append((template, proc.stdout + proc.stderr))
+        try:
+            proc = subprocess.Popen(
+                command,
+                shell=True,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                cwd=ws.root,
+                start_new_session=True,
+            )
+        except OSError as exc:
+            outputs.append((template, f"profiler failed: {exc}"))
+            continue
+        try:
+            stdout, stderr = proc.communicate(timeout=contract.budgets.round_wall_clock_limit_s)
+        except subprocess.TimeoutExpired as exc:
+            _kill_process_group(proc)  # the shell's children too
+            proc.communicate()
+            outputs.append((template, f"profiler failed: {exc}"))
+            continue
+        outputs.append((template, stdout + stderr))
     return outputs
 
 

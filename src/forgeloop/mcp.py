@@ -19,6 +19,7 @@ role and round. Calls outside any session are policy-level rejections.
 from __future__ import annotations
 
 import json
+import socket
 import socketserver
 import threading
 from dataclasses import dataclass, field
@@ -309,7 +310,12 @@ class ToolServer:
 
     def shutdown(self) -> None:
         if self._server is not None:
+            # A shut-down listening socket polls readable at once, so the
+            # accept loop sees the stop request now rather than on its next
+            # poll timeout.
+            self._server.socket.shutdown(socket.SHUT_RDWR)
             self._server.shutdown()
             self._server.server_close()
+            self._thread.join()
             self._server = None
 

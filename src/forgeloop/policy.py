@@ -191,7 +191,6 @@ class RoundDirective:
     start: Optional[Checkpoint]  # None = continue from the current head
     task_text: str
     pass_criteria: tuple[str, ...]
-    toolset: tuple[ToolSpec, ...]
     issue_id: Optional[int] = None
 
     def __post_init__(self):
@@ -474,7 +473,6 @@ class IssueTrackerPolicy(Policy):
             start=None,
             task_text=task_text,
             pass_criteria=issue.acceptance_criteria,
-            toolset=self.toolset(),
             issue_id=issue.id,
         )
 
@@ -580,12 +578,7 @@ class EvolutionaryPolicy(Policy):
         else:
             raise Exhausted("empty population and no seed task configured")
         self._parent = parent
-        return RoundDirective(
-            start=parent,
-            task_text=task,
-            pass_criteria=DEFAULT_CRITERIA,
-            toolset=self.toolset(),
-        )
+        return RoundDirective(start=parent, task_text=task, pass_criteria=DEFAULT_CRITERIA)
 
     def record_child(self, parent: Optional[Checkpoint], result: RoundResult) -> None:
         if result.status is not RoundStatus.VALIDATED or result.commit is None:
@@ -640,12 +633,7 @@ class RalphPolicy(Policy):
     def begin_round(self, round_index: int) -> RoundDirective:
         history = self._history()
         task = f"{self.task_text}\n\n## HISTORY\n{history}\n"
-        return RoundDirective(
-            start=None,
-            task_text=task,
-            pass_criteria=DEFAULT_CRITERIA,
-            toolset=self.toolset(),
-        )
+        return RoundDirective(start=None, task_text=task, pass_criteria=DEFAULT_CRITERIA)
 
     def end_round(self, directive: RoundDirective, result: RoundResult, round_index: int) -> None:
         if result.status is RoundStatus.VALIDATED and result.commit is not None:

@@ -168,13 +168,11 @@ class Workspace:
             raise WorkspaceError(f"git {' '.join(args)} failed: {proc.stderr.strip()}")
         return proc
 
-    def _commit_exists(self, commit: str) -> bool:
-        return self._git("cat-file", "-e", f"{commit}^{{commit}}", check=False).returncode == 0
-
     def tree_digest(self, commit: str) -> str:
-        if not self._commit_exists(commit):
+        proc = self._git("rev-parse", "--verify", "-q", f"{commit}^{{commit}}^{{tree}}", check=False)
+        if proc.returncode != 0:
             raise UnknownCommit(commit)
-        return self._git("rev-parse", f"{commit}^{{tree}}").stdout.strip()
+        return proc.stdout.strip()
 
     def worktree_digest(self) -> str:
         """Tree hash of the current worktree (tracked + unignored untracked)."""
@@ -214,10 +212,13 @@ def init_workspace(contract, root: str | Path) -> Workspace:
     if proc.returncode != 0:
         raise RepoInitFailed(proc.stderr.strip())
 
+    # One append sets identity and signing; each `git config` call would
+    # rewrite the whole file.
+    with open(root / ".git" / "config", "a", encoding="utf-8") as config:
+        config.write("[user]\n\temail = loop@forgeloop.local\n\tname = forgeloop\n"
+                     "[commit]\n\tgpgsign = false\n")
+
     ws = Workspace(root=root, manifest=MountManifest(entries=()), head="")
-    ws._git("config", "user.email", "loop@forgeloop.local")
-    ws._git("config", "user.name", "forgeloop")
-    ws._git("config", "commit.gpgsign", "false")
 
     (root / ".gitignore").write_text("\n".join(_IGNORED) + "\n", encoding="utf-8")
     ws._git("add", ".gitignore")
@@ -315,7 +316,7 @@ def commit_checkpoint(ws: Workspace, round_index: int, metric: "MetricReport", v
         f"Verdict: passed\n"
     )
     ws._git("commit", "-q", "-m", message)
-    commit = ws._git("rev-parse", "HEAD").stdout.strip()
+    commit, tree = ws._git("rev-parse", "HEAD", "HEAD^{tree}").stdout.split()
     ws._git("tag", "-f", f"round-{round_index}", commit)
     ws.head = commit
     return Checkpoint(
@@ -324,16 +325,17 @@ def commit_checkpoint(ws: Workspace, round_index: int, metric: "MetricReport", v
         metric=metric.metric,
         unit=metric.unit,
         higher_is_better=metric.higher_is_better,
-        tree_digest=ws.tree_digest(commit),
+        tree_digest=tree,
         parent=parent,
     )
 
 
 def revert_to(ws: Workspace, cp: Checkpoint) -> None:
     """Restore the worktree to the checkpoint's tree; mounts are untouched."""
-    if not ws._commit_exists(cp.commit):
-        raise UnknownCommit(cp.commit)
-    ws._git("reset", "--hard", "-q", cp.commit)
+    reset = ws._git("reset", "--hard", "-q", f"{cp.commit}^{{commit}}", check=False)
+    if reset.returncode != 0:
+        ws.tree_digest(cp.commit)  # raises UnknownCommit when that is the cause
+        raise WorkspaceError(f"git reset --hard {cp.commit} failed: {reset.stderr.strip()}")
     ws._git("clean", "-fdq")
     ws.head = cp.commit
 
@@ -358,26 +360,22 @@ _KIND = {"A": "added", "M": "modified", "D": "deleted"}
 def diff_since(ws: Workspace, cp: "Checkpoint | str") -> tuple[Change, ...]:
     """Content-based change summary between a checkpoint (or raw commit id)
     and the worktree."""
-    commit = cp.commit if isinstance(cp, Checkpoint) else cp
-    if not ws._commit_exists(commit):
-        raise UnknownCommit(commit)
+    base_tree = ws.tree_digest(cp.commit if isinstance(cp, Checkpoint) else cp)
     worktree = ws.worktree_digest()
-    base_tree = ws.tree_digest(commit)
-    status = ws._git("diff-tree", "-r", "--name-status", base_tree, worktree).stdout
-    numstat = ws._git("diff-tree", "-r", "--numstat", base_tree, worktree).stdout
+    # Raw lines (":<modes> <shas> <code>\t<path>") come first, then numstat
+    # lines ("<added>\t<deleted>\t<path>", "-" for binary files).
+    out = ws._git("diff-tree", "-r", "--raw", "--numstat", "--no-abbrev", base_tree, worktree).stdout
 
+    kinds: dict[str, str] = {}
     deltas: dict[str, int] = {}
-    for line in numstat.splitlines():
-        added, deleted, path = line.split("\t", 2)
-        if added == "-":  # binary
-            deltas[path] = 0
+    for line in out.splitlines():
+        if line.startswith(":"):
+            meta, path = line.split("\t", 1)
+            code = meta.split()[-1][0]
+            kinds[path] = _KIND.get(code, code)
         else:
-            deltas[path] = int(added) - int(deleted)
-
-    changes = []
-    for line in status.splitlines():
-        code, path = line.split("\t", 1)
-        changes.append(
-            Change(path=path, kind=_KIND.get(code[0], code[0]), line_delta=deltas.get(path, 0))
-        )
-    return tuple(sorted(changes, key=lambda c: c.path))
+            added, deleted, path = line.split("\t", 2)
+            deltas[path] = 0 if added == "-" else int(added) - int(deleted)
+    return tuple(
+        Change(path=path, kind=kind, line_delta=deltas.get(path, 0)) for path, kind in sorted(kinds.items())
+    )

@@ -1,7 +1,10 @@
 """CLI surface: subcommands, exit codes, env overrides."""
 
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +214,32 @@ def test_loadgen_prints_deterministic_schedule(tmp_path, capsys):
     assert first == second
     rows = [json.loads(line) for line in first.strip().splitlines()]
     assert all(0 < r["arrival"] < 2.0 for r in rows)
+
+
+def test_read_only_subcommands_stay_light(tmp_path):
+    # status/report/replay need only the ledger: numpy (image gate), the
+    # tool server's jsonschema, the skills' yaml and the runner stay unloaded,
+    # and the policy module does not pull numpy in through the gates package.
+    from forgeloop.ledger import LedgerWriter
+
+    ledger = tmp_path / "ledger.jsonl"
+    with LedgerWriter(ledger) as writer:
+        writer.append("round_started", 0, {})
+    code = (
+        "import sys\n"
+        "from forgeloop.cli import main\n"
+        f"assert main(['status', '--ledger', {str(ledger)!r}]) == 0\n"
+        "heavy = [m for m in ('numpy', 'jsonschema', 'yaml', 'forgeloop.runner') if m in sys.modules]\n"
+        "assert not heavy, heavy\n"
+        "import forgeloop.policy\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "current round: 0" in proc.stdout

@@ -140,12 +140,11 @@ def empty_provider(tmp_path):
     return stub_harness_provider(tmp_path / "no-scripts", timeout_s=30)
 
 
-def directive_for(policy=None, toolset=()):
+def directive_for(policy=None):
     return RoundDirective(
         start=None,
         task_text="produce the transformer",
         pass_criteria=("checker passes",),
-        toolset=tuple(toolset),
     )
 
 
@@ -386,6 +385,43 @@ def test_round_retry_then_validate(toy_workspace, toy_contract, tmp_path):
     detail = attempt1_verdicts[0].payload["violations"][0]["detail"]
     prompt2 = (toy_workspace.root / ".prompts" / "implementer-r0-a2.md").read_text()
     assert detail in prompt2
+
+
+def test_hanging_profiler_is_a_note_not_a_crash(toy_workspace, toy_contract, tmp_path):
+    import dataclasses
+
+    contract = dataclasses.replace(
+        toy_contract,
+        budgets=dataclasses.replace(toy_contract.budgets, round_wall_clock_limit_s=5),
+        profiler_commands=("sleep 60",),
+    )
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    toy.write_script(
+        scripts / "implementer_r0_a1.jsonl",
+        [{"step": "apply_patch", "patch": toy.new_file_diff("candidate/run", toy.V0)}],
+    )
+    policy, server, sock, ledger, task = round_setup(toy_workspace, tmp_path)
+    try:
+        result = execute_round(
+            task,
+            toy_workspace,
+            contract,
+            stub_harness_provider(scripts, 30),
+            server=server,
+            endpoint=sock,
+            ledger=ledger,
+            allowed_tools=policy.allowed_tools,
+        )
+    finally:
+        server.shutdown()
+        ledger.close()
+
+    assert result.status is RoundStatus.VALIDATED
+    assert toy_workspace.head == result.commit.commit
+    prompt = (toy_workspace.root / ".prompts" / "evaluator-r0-a1.md").read_text()
+    assert "Profiler `sleep 60` output:\nprofiler failed:" in prompt
+    assert "timed out" in prompt
 
 
 def test_round_budget_exhaustion(toy_workspace, toy_contract, tmp_path):

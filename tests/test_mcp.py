@@ -285,3 +285,38 @@ def test_concurrent_session_rejected(server):
     with pytest.raises(McpError):
         server.begin_session("Judge", 0)
     server.end_session()
+
+
+def test_shutdown_is_prompt_and_closes_the_endpoint(policy, tmp_path):
+    import socket
+    import time
+
+    for i in range(5):
+        server = ToolServer(list(policy.toolset()))
+        sock = str(tmp_path / f"s{i}.sock")
+        server.serve(sock)
+        client = _Client(sock)
+        assert client.request("initialize", {})["result"]["serverInfo"]["name"] == "forgeloop"
+        client.close()
+        start = time.perf_counter()
+        server.shutdown()
+        assert time.perf_counter() - start < 0.05
+        probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            with pytest.raises(OSError):
+                probe.connect(sock)
+        finally:
+            probe.close()
+
+
+def test_serve_shutdown_cycles_leave_no_threads(tmp_path):
+    import threading
+
+    # Compare thread sets, not counts: a handler thread of an earlier test may
+    # still be finishing while this one runs.
+    before = set(threading.enumerate())
+    for i in range(20):
+        server = ToolServer([])
+        server.serve(str(tmp_path / f"c{i}.sock"))
+        server.shutdown()
+    assert set(threading.enumerate()) <= before

@@ -263,7 +263,7 @@ def test_end_round_mismatch(policy):
     from forgeloop.policy import RoundDirective
 
     foreign = RoundDirective(
-        start=None, task_text="x", pass_criteria=("c",), toolset=(), issue_id=999
+        start=None, task_text="x", pass_criteria=("c",), issue_id=999
     )
     with pytest.raises(RoundMismatch):
         policy.end_round(foreign, validated(0), 0)

@@ -7,10 +7,15 @@ import subprocess
 import pytest
 
 from forgeloop.gates.metrics import MetricReport
+from forgeloop.innerloop import RoundStatus, RoundTask, execute_round
+from forgeloop.mcp import ToolServer
+from forgeloop.policy import IssueTrackerPolicy
+from forgeloop.runner import stub_harness_provider
 from forgeloop.workspace import (
     NothingToCommit,
     UnknownCommit,
     VerdictNotPassed,
+    Workspace,
     WorkspaceError,
     commit_checkpoint,
     diff_since,
@@ -19,6 +24,8 @@ from forgeloop.workspace import (
     revert_to,
     verify_mounts,
 )
+
+import toy
 
 
 class FakeVerdict:
@@ -231,3 +238,64 @@ def test_checkpoints_reachable_from_baseline_after_revert(toy_workspace):
         )
         assert out.stdout.strip() == cp.commit
     assert cp3.parent == cp1.commit
+
+
+def test_unknown_commit_raises_from_diff_since_and_tree_digest(toy_workspace):
+    ws = toy_workspace
+    ghost = "0" * 40
+    with pytest.raises(UnknownCommit):
+        diff_since(ws, ghost)
+    with pytest.raises(UnknownCommit):
+        ws.tree_digest(ghost)
+    with pytest.raises(UnknownCommit):  # a tree id is not a commit
+        ws.tree_digest(ws.tree_digest(ws.head))
+
+
+def test_diff_since_binary_file_has_zero_line_delta(toy_workspace):
+    ws = toy_workspace
+    write_candidate(ws)
+    (ws.candidate_root / "weights.bin").write_bytes(bytes(range(256)))
+    cp = commit_checkpoint(ws, 0, metric(), FakeVerdict())
+    (ws.candidate_root / "weights.bin").write_bytes(bytes(range(256)) * 2)
+    (ws.candidate_root / "new.bin").write_bytes(b"\0\1\2")
+    changes = [(c.path, c.kind, c.line_delta) for c in diff_since(ws, cp)]
+    assert changes == [("candidate/new.bin", "added", 0), ("candidate/weights.bin", "modified", 0)]
+
+
+def test_validated_round_git_calls(toy_workspace, toy_contract, tmp_path, monkeypatch):
+    # One validated round (Implementer, Judge, Evaluator, checkpoint) makes
+    # at most this many git calls; a new call per round must be a decision.
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    toy.write_script(
+        scripts / "implementer_r0_a1.jsonl",
+        [{"step": "apply_patch", "patch": toy.new_file_diff("candidate/run", toy.V0)}],
+    )
+    policy = IssueTrackerPolicy(toy_workspace, revert_fn=lambda cp, r: None)
+    server = ToolServer(list(policy.served_toolset()))
+    sock = str(tmp_path / "g.sock")
+    server.serve(sock)
+    task = RoundTask(directive=policy.begin_round(0), round=0, retry_budget=1)
+
+    calls = []
+    original = Workspace._git
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[0])
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Workspace, "_git", counting)
+    try:
+        result = execute_round(
+            task,
+            toy_workspace,
+            toy_contract,
+            stub_harness_provider(scripts, 30),
+            server=server,
+            endpoint=sock,
+            allowed_tools=policy.allowed_tools,
+        )
+    finally:
+        server.shutdown()
+    assert result.status is RoundStatus.VALIDATED
+    assert len(calls) <= 15, calls
