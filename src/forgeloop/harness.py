@@ -4,8 +4,8 @@ Every agent turn is a fresh subprocess: a prompt document is rendered to a
 file, the harness command template is expanded with the workspace root, the
 prompt path, and the tool endpoint, and the child runs inside the workspace
 with a sanitized environment. Structured results come back exclusively
-through the tool endpoint (``result/emit``); stdout is captured for logs
-but never parsed for meaning.
+through the tool endpoint (``result/emit``); stdout is never parsed for
+meaning, and the tail of stderr goes to the ledger.
 
 The scripted stub (:mod:`forgeloop.stubagent`) is a drop-in harness for
 offline tests: it replays a JSONL step script (apply_patch / call_tool /
@@ -68,28 +68,23 @@ class PromptBundle:
 
 @dataclass(frozen=True)
 class AgentInvocation:
+    """One agent turn: its accounting and what it left behind."""
+
     role: AgentRole
     round: int
     started: float
     ended: float
     exit_kind: ExitKind
+    exit_code: Optional[int]  # None on timeout
     tool_calls: int
     prompt_digest: str
+    result: Optional[object] = None  # final structured result from result/emit
+    tool_log: tuple = ()  # ToolLogEntry sequence observed at the endpoint
+    stderr: str = ""
 
     @property
     def duration(self) -> float:
         return self.ended - self.started
-
-
-@dataclass(frozen=True)
-class InvocationOutcome:
-    exit_kind: ExitKind
-    exit_code: Optional[int]
-    result: Optional[object]  # final structured result from result/emit
-    tool_calls: int
-    tool_log: tuple = ()  # ToolLogEntry sequence observed at the endpoint
-    stdout: str = ""
-    stderr: str = ""
 
 
 @dataclass(frozen=True)
@@ -151,6 +146,7 @@ def prompt_digest(document: str) -> str:
 
 
 _BASE_ENV = ("PATH", "HOME")
+_STDERR_TAIL = 2000  # characters of an agent's stderr kept in its ledger event
 
 
 def _sanitized_env(allowlist: Sequence[str]) -> dict[str, str]:
@@ -168,7 +164,7 @@ def invoke_agent(
     ledger=None,
     allowed_tools: Optional[Sequence[str]] = None,
     attempt: int = 1,
-) -> tuple[InvocationOutcome, AgentInvocation]:
+) -> AgentInvocation:
     """Run one agent turn and account for it.
 
     The child is launched in its own session group so a timeout can kill the
@@ -197,59 +193,37 @@ def invoke_agent(
             token = token.replace(placeholder, value)
         command.append(token)
 
-    session = None
     if server is not None:
-        session = server.begin_session(bundle.role.value, round_index, allowed_tools)
+        server.begin_session(bundle.role.value, round_index, allowed_tools)
 
-    # Wall-clock stamps for the ledger; the duration comes from the monotonic
-    # clock, so a clock step during the turn cannot skew it.
+    # A wall-clock stamp for the ledger; the duration comes from the
+    # monotonic clock, so a clock step during the turn cannot skew it.
     started = time.time()
-    clock = time.monotonic()
     try:
-        proc = subprocess.Popen(
-            command,
-            cwd=workspace_root,
-            env=_sanitized_env(cfg.env_allowlist),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            start_new_session=True,
-        )
+        done = run_bounded(command, workspace_root, cfg.timeout_s, env=_sanitized_env(cfg.env_allowlist))
     except OSError as exc:
         if server is not None:
             server.end_session()
         raise SpawnFailed(f"cannot launch harness {command[0]!r}: {exc}") from exc
 
     exit_kind = ExitKind.COMPLETED
-    exit_code: Optional[int] = None
-    try:
-        stdout, stderr = proc.communicate(timeout=cfg.timeout_s)
-        exit_code = proc.returncode
-        if exit_code != 0:
-            exit_kind = ExitKind.CRASHED
-    except subprocess.TimeoutExpired:
-        _kill_process_group(proc)
-        stdout, stderr = proc.communicate()
+    if done.timed_out:
         exit_kind = ExitKind.TIMEOUT
-
-    ended = started + (time.monotonic() - clock)
-    tool_calls = 0
-    result = None
-    tool_log: tuple = ()
-    if session is not None:
-        done = server.end_session()
-        tool_calls = done.tool_calls
-        result = done.emitted_result
-        tool_log = tuple(done.tool_log)
-
+    elif done.returncode != 0:
+        exit_kind = ExitKind.CRASHED
+    session = server.end_session() if server is not None else None
     invocation = AgentInvocation(
         role=bundle.role,
         round=round_index,
         started=started,
-        ended=ended,
+        ended=started + done.duration_s,
         exit_kind=exit_kind,
-        tool_calls=tool_calls,
+        exit_code=done.returncode,
+        tool_calls=session.tool_calls if session else 0,
         prompt_digest=digest,
+        result=session.emitted_result if session else None,
+        tool_log=tuple(session.tool_log) if session else (),
+        stderr=done.stderr,
     )
     if ledger is not None:
         ledger.append(
@@ -259,40 +233,72 @@ def invoke_agent(
                 "role": bundle.role.value,
                 "attempt": attempt,
                 "started": started,
-                "ended": ended,
+                "ended": invocation.ended,
                 "duration_s": invocation.duration,
                 "exit_kind": exit_kind.value,
-                "tool_calls": tool_calls,
+                "exit_code": done.returncode,
+                "stderr_tail": done.stderr[-_STDERR_TAIL:],
+                "tool_calls": invocation.tool_calls,
                 "prompt_digest": digest,
             },
         )
-    outcome = InvocationOutcome(
-        exit_kind=exit_kind,
-        exit_code=exit_code,
-        result=result,
-        tool_calls=tool_calls,
-        tool_log=tool_log,
+    return invocation
+
+
+@dataclass(frozen=True)
+class Completed:
+    """What a bounded child left behind."""
+
+    returncode: Optional[int]  # None when the deadline killed it
+    stdout: str | bytes
+    stderr: str | bytes
+    timed_out: bool
+    duration_s: float  # monotonic
+
+
+def run_bounded(argv, cwd, timeout_s: float, env=None, text: bool = True, shell: bool = False) -> Completed:
+    """Run one child in its own session with stdout and stderr captured; at
+    the deadline kill its whole process group. Raises OSError when the child
+    cannot start."""
+    clock = time.monotonic()
+    proc = subprocess.Popen(
+        argv,
+        cwd=cwd,
+        env=env,
+        shell=shell,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=text,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate(timeout=timeout_s)
+        timed_out = False
+    except subprocess.TimeoutExpired:
+        _kill_process_group(proc)
+        stdout, stderr = proc.communicate()
+        timed_out = True
+    return Completed(
+        returncode=None if timed_out else proc.returncode,
         stdout=stdout,
         stderr=stderr,
+        timed_out=timed_out,
+        duration_s=time.monotonic() - clock,
     )
-    return outcome, invocation
 
 
 def _kill_process_group(proc: subprocess.Popen) -> None:
-    """SIGTERM the child's whole session, then SIGKILL stragglers."""
+    """SIGTERM the session ``proc`` leads, then SIGKILL stragglers. The
+    group id is the leader's pid, so this works after the leader is gone."""
     try:
-        pgid = os.getpgid(proc.pid)
+        os.killpg(proc.pid, signal.SIGTERM)
     except ProcessLookupError:
         return
-    try:
-        os.killpg(pgid, signal.SIGTERM)
-    except ProcessLookupError:
-        return
-    deadline = time.time() + 0.5
-    while time.time() < deadline and proc.poll() is None:
+    deadline = time.monotonic() + 0.5
+    while time.monotonic() < deadline and proc.poll() is None:
         time.sleep(0.02)
     try:
-        os.killpg(pgid, signal.SIGKILL)
+        os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:
         pass
 

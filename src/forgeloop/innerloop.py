@@ -20,8 +20,7 @@ from __future__ import annotations
 import enum
 import json
 import os
-import subprocess
-import time
+import subprocess  # noqa: F401 - unused here; overheadbench's tracer replaces this module attribute
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -32,11 +31,11 @@ from forgeloop.gates.metrics import MetricParseError, MetricReport, parse_metric
 from forgeloop.harness import (
     AgentRole,
     AgentInvocation,
+    Completed,
     HarnessConfig,
-    InvocationOutcome,
-    _kill_process_group,
     assemble_prompt,
     invoke_agent,
+    run_bounded,
 )
 from forgeloop.skills import SkillLibrary, retrieve
 from forgeloop.workspace import (
@@ -45,6 +44,7 @@ from forgeloop.workspace import (
     Workspace,
     commit_checkpoint,
     diff_since,
+    discard_worktree,
     restore_mounts,
     restore_tree,
     revert_to,
@@ -151,6 +151,15 @@ class ScanReport:
     unchecked: tuple[str, ...]
 
 
+def _run_gate(argv, cwd, timeout_s: float, **kwargs) -> Completed:
+    """``run_bounded`` for a gate child, whose callers treat a missed
+    deadline like a failed start: both raise OSError."""
+    done = run_bounded(argv, cwd, timeout_s, **kwargs)
+    if done.timed_out:
+        raise TimeoutError(f"Command '{argv}' timed out after {timeout_s} seconds")
+    return done
+
+
 def process_probe_runner(candidate_root: Path, timeout_s: float = 30.0) -> ProbeRunner:
     """Drive ``<candidate_root>/run <prompt>`` and capture output + latency."""
     run_path = candidate_root / "run"
@@ -160,22 +169,15 @@ def process_probe_runner(candidate_root: Path, timeout_s: float = 30.0) -> Probe
             raise ProbeRunFailed(f"candidate has no 'run' entrypoint at {run_path}")
         if not os.access(run_path, os.X_OK):
             raise ProbeRunFailed(f"candidate 'run' is not executable: {run_path}")
-        started = time.monotonic()
         try:
-            proc = subprocess.run(
-                [str(run_path), prompt],
-                capture_output=True,
-                timeout=timeout_s,
-                cwd=candidate_root,
-            )
-        except (OSError, subprocess.TimeoutExpired) as exc:
+            done = _run_gate([str(run_path), prompt], candidate_root, timeout_s, text=False)
+        except OSError as exc:
             raise ProbeRunFailed(f"probe run failed: {exc}") from exc
-        elapsed = time.monotonic() - started
-        if proc.returncode != 0:
+        if done.returncode != 0:
             raise ProbeRunFailed(
-                f"probe run exited {proc.returncode}: {proc.stderr.decode(errors='replace')[:400]}"
+                f"probe run exited {done.returncode}: {done.stderr.decode(errors='replace')[:400]}"
             )
-        return ProbeResult(prompt=prompt, output=proc.stdout, latency_s=elapsed)
+        return ProbeResult(prompt=prompt, output=done.stdout, latency_s=done.duration_s)
 
     return runner
 
@@ -244,18 +246,12 @@ def scan_reward_hacks(
 
 
 def _run_checker(ws: Workspace, timeout_s: float) -> tuple[int, str]:
-    checker = ws.mount_path("checker")
+    argv = [str(ws.mount_path("checker")), str(ws.candidate_root), str(ws.mount_path("reference"))]
     try:
-        proc = subprocess.run(
-            [str(checker), str(ws.candidate_root), str(ws.mount_path("reference"))],
-            capture_output=True,
-            text=True,
-            cwd=ws.root,
-            timeout=timeout_s,
-        )
-    except (OSError, subprocess.TimeoutExpired) as exc:
+        done = _run_gate(argv, ws.root, timeout_s)
+    except OSError as exc:
         raise CheckerUnrunnable(f"checker did not run: {exc}") from exc
-    return proc.returncode, proc.stderr
+    return done.returncode, done.stderr
 
 
 def _run_build(ws: Workspace, timeout_s: float) -> Optional[Violation]:
@@ -263,13 +259,11 @@ def _run_build(ws: Workspace, timeout_s: float) -> Optional[Violation]:
     if not build.exists() or not os.access(build, os.X_OK):
         return None
     try:
-        proc = subprocess.run(
-            [str(build)], capture_output=True, text=True, cwd=ws.candidate_root, timeout=timeout_s
-        )
-    except (OSError, subprocess.TimeoutExpired) as exc:
+        done = _run_gate([str(build)], ws.candidate_root, timeout_s)
+    except OSError as exc:
         return Violation(ACCURACY, f"build step failed to run: {exc}")
-    if proc.returncode != 0:
-        return Violation(ACCURACY, f"build failed ({proc.returncode}): {proc.stderr[:2000]}")
+    if done.returncode != 0:
+        return Violation(ACCURACY, f"build failed ({done.returncode}): {done.stderr[:2000]}")
     return None
 
 
@@ -313,9 +307,9 @@ def judge(
     ctx: JudgeContext,
     round_index: int,
     attempt: int,
-) -> tuple[Verdict, Optional[AgentInvocation], InvocationOutcome | None, tuple[str, ...]]:
+) -> tuple[Verdict, Optional[AgentInvocation], tuple[str, ...]]:
     """Run the four correctness gates; returns the verdict, the judge agent's
-    invocation/outcome, and any unchecked-scan notes."""
+    invocation, and any unchecked-scan notes."""
     violations: list[Violation] = []
     notes: list[str] = []
     timeout = contract.budgets.round_wall_clock_limit_s
@@ -334,7 +328,7 @@ def judge(
             # tamper report over an environment error when digests disagree.
             tamper = _tamper_violations(ws)
             if tamper:
-                return Verdict(violations=tuple(violations + tamper)), None, None, tuple(notes)
+                return Verdict(violations=tuple(violations + tamper)), None, tuple(notes)
             raise
         if rc != 0:
             violations.append(Violation(ACCURACY, stderr.strip() or f"checker exited {rc}"))
@@ -342,7 +336,7 @@ def judge(
     # (2) mounts: tampering invalidates everything else this round.
     tamper = _tamper_violations(ws)
     if tamper:
-        return Verdict(violations=tuple(violations + tamper)), None, None, tuple(notes)
+        return Verdict(violations=tuple(violations + tamper)), None, tuple(notes)
 
     # (3) deterministic reward-hack scan.
     if candidate_runnable:
@@ -382,7 +376,7 @@ def judge(
         feedback=None,
         instructions=contract.instructions,
     )
-    outcome, invocation = invoke_agent(
+    invocation = invoke_agent(
         ctx.harness,
         bundle,
         ws.root,
@@ -393,29 +387,23 @@ def judge(
         allowed_tools=ctx.allowed_tools,
         attempt=attempt,
     )
-    violations.extend(_parse_agent_verdict(outcome.result))
+    violations.extend(_parse_agent_verdict(invocation.result))
 
-    return Verdict(violations=tuple(violations)), invocation, outcome, tuple(notes)
+    return Verdict(violations=tuple(violations)), invocation, tuple(notes)
 
 
 # -- evaluate ----------------------------------------------------------------
 
 
 def run_benchmark(ws: Workspace, contract: TargetContract) -> MetricReport:
-    benchmark = ws.mount_path("benchmark")
+    argv = [str(ws.mount_path("benchmark")), str(ws.candidate_root)]
     try:
-        proc = subprocess.run(
-            [str(benchmark), str(ws.candidate_root)],
-            capture_output=True,
-            text=True,
-            cwd=ws.root,
-            timeout=contract.budgets.round_wall_clock_limit_s,
-        )
-    except (OSError, subprocess.TimeoutExpired) as exc:
+        done = _run_gate(argv, ws.root, contract.budgets.round_wall_clock_limit_s)
+    except OSError as exc:
         raise BenchmarkFailed(f"benchmark did not run: {exc}") from exc
-    if proc.returncode != 0:
-        raise BenchmarkFailed(f"benchmark exited {proc.returncode}: {proc.stderr[:2000]}")
-    return parse_metric_line(proc.stdout)
+    if done.returncode != 0:
+        raise BenchmarkFailed(f"benchmark exited {done.returncode}: {done.stderr[:2000]}")
+    return parse_metric_line(done.stdout)
 
 
 def run_profilers(ws: Workspace, contract: TargetContract) -> list[tuple[str, str]]:
@@ -426,26 +414,11 @@ def run_profilers(ws: Workspace, contract: TargetContract) -> list[tuple[str, st
     for template in contract.profiler_commands:
         command = template.format(candidate_root=ws.candidate_root, workspace=ws.root)
         try:
-            proc = subprocess.Popen(
-                command,
-                shell=True,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                cwd=ws.root,
-                start_new_session=True,
-            )
+            done = _run_gate(command, ws.root, contract.budgets.round_wall_clock_limit_s, shell=True)
         except OSError as exc:
             outputs.append((template, f"profiler failed: {exc}"))
             continue
-        try:
-            stdout, stderr = proc.communicate(timeout=contract.budgets.round_wall_clock_limit_s)
-        except subprocess.TimeoutExpired as exc:
-            _kill_process_group(proc)  # the shell's children too
-            proc.communicate()
-            outputs.append((template, f"profiler failed: {exc}"))
-            continue
-        outputs.append((template, stdout + stderr))
+        outputs.append((template, done.stdout + done.stderr))
     return outputs
 
 
@@ -458,7 +431,7 @@ def evaluate(
     ledger=None,
     round_index: int = 0,
     allowed_tools: Optional[Sequence[str]] = None,
-) -> tuple[MetricReport, tuple[str, ...], Optional[AgentInvocation]]:
+) -> tuple[MetricReport, tuple[str, ...], AgentInvocation]:
     """Benchmark the candidate, then let the Evaluator agent turn the report
     and profiler output into hints (delivered via record_finding)."""
     report = run_benchmark(ws, contract)
@@ -480,7 +453,7 @@ def evaluate(
     bundle = assemble_prompt(
         AgentRole.EVALUATOR, task_text, (), (), feedback=None, instructions=contract.instructions
     )
-    outcome, invocation = invoke_agent(
+    invocation = invoke_agent(
         evaluator_harness,
         bundle,
         ws.root,
@@ -493,7 +466,7 @@ def evaluate(
     )
     hints = tuple(
         entry.arguments.get("text", "")
-        for entry in outcome.tool_log
+        for entry in invocation.tool_log
         if entry.tool == "record_finding" and entry.ok
     )
     return report, hints, invocation
@@ -504,10 +477,10 @@ def evaluate(
 HarnessProvider = Callable[[AgentRole, int, int], HarnessConfig]
 
 
-def _filed_issue_ids(outcomes: Sequence[InvocationOutcome]) -> list[int]:
+def _filed_issue_ids(invocations: Sequence[AgentInvocation]) -> list[int]:
     ids = []
-    for outcome in outcomes:
-        for entry in outcome.tool_log:
+    for invocation in invocations:
+        for entry in invocation.tool_log:
             if entry.tool == "file_issue" and entry.ok and entry.payload:
                 ids.append(int(entry.payload["issue_id"]))
     return ids
@@ -542,17 +515,16 @@ def execute_round(
     tools_for = allowed_tools or (lambda role: None)
 
     invocations: list[AgentInvocation] = []
-    outcomes: list[InvocationOutcome] = []
     feedback: Optional[str] = None
     feedback_log: list[str] = []
     verdict: Optional[Verdict] = None
 
     def fail_round(status: RoundStatus, details: Sequence[str]) -> RoundResult:
-        _discard_worktree(ws)
+        discard_worktree(ws)
         return RoundResult(
             status=status,
             feedback=tuple(details),
-            filed_issues=tuple(_filed_issue_ids(outcomes)),
+            filed_issues=tuple(_filed_issue_ids(invocations)),
             invocations=tuple(invocations),
         )
 
@@ -583,7 +555,7 @@ def execute_round(
             feedback=feedback,
             instructions=contract.instructions,
         )
-        outcome, invocation = invoke_agent(
+        invocation = invoke_agent(
             harnesses(AgentRole.IMPLEMENTER, round_index, attempt),
             bundle,
             ws.root,
@@ -595,7 +567,6 @@ def execute_round(
             attempt=attempt,
         )
         invocations.append(invocation)
-        outcomes.append(outcome)
 
         judge_ctx = JudgeContext(
             harness=harnesses(AgentRole.JUDGE, round_index, attempt),
@@ -606,7 +577,7 @@ def execute_round(
             allowed_tools=tools_for(AgentRole.JUDGE),
         )
         try:
-            verdict, judge_inv, judge_outcome, _notes = judge(
+            verdict, judge_inv, _notes = judge(
                 ws, directive, contract, judge_ctx, round_index, attempt
             )
         except CheckerUnrunnable as exc:
@@ -614,8 +585,6 @@ def execute_round(
             return fail_round(RoundStatus.ERROR, [str(exc)])
         if judge_inv is not None:
             invocations.append(judge_inv)
-        if judge_outcome is not None:
-            outcomes.append(judge_outcome)
         record_verdict(attempt, verdict.violations)
 
         if any(v.kind == TAMPER for v in verdict.violations):
@@ -647,8 +616,7 @@ def execute_round(
         )
     except (BenchmarkFailed, MetricParseError) as exc:
         return fail_round(RoundStatus.ERROR, [str(exc)])
-    if eval_inv is not None:
-        invocations.append(eval_inv)
+    invocations.append(eval_inv)
     restore_tree(ws, post_judge_tree)
 
     # End-of-round mount verification: the Evaluator phase must not have
@@ -682,12 +650,6 @@ def execute_round(
         metric=report,
         hints=hints,
         feedback=(),
-        filed_issues=tuple(_filed_issue_ids(outcomes)),
+        filed_issues=tuple(_filed_issue_ids(invocations)),
         invocations=tuple(invocations),
     )
-
-
-def _discard_worktree(ws: Workspace) -> None:
-    """Drop the round's edits so a failed attempt cannot leak forward."""
-    ws._git("reset", "--hard", "-q", "HEAD")
-    ws._git("clean", "-fdq")

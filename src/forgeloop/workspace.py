@@ -342,8 +342,13 @@ def revert_to(ws: Workspace, cp: Checkpoint) -> None:
 
 def restore_tree(ws: Workspace, tree_digest: str) -> None:
     """Reset worktree content (not HEAD) to a previously snapshotted tree."""
-    ws._git("read-tree", tree_digest)
-    ws._git("checkout-index", "-f", "-a")
+    ws._git("read-tree", "--reset", "-u", tree_digest)
+    ws._git("clean", "-fdq")
+
+
+def discard_worktree(ws: Workspace) -> None:
+    """Drop uncommitted edits, back to HEAD."""
+    ws._git("reset", "--hard", "-q", "HEAD")
     ws._git("clean", "-fdq")
 
 

@@ -3,7 +3,10 @@ and the scripted stub."""
 
 import json
 import os
+import signal
+import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -14,6 +17,7 @@ from forgeloop.harness import (
     ExitKind,
     HarnessConfig,
     SpawnFailed,
+    _kill_process_group,
     assemble_prompt,
     invoke_agent,
     prompt_digest,
@@ -112,11 +116,11 @@ def test_invoke_agent_runs_in_workspace_with_sanitized_env(toy_workspace, tmp_pa
     )
     os.environ["FORGELOOP_TEST_SECRET"] = "do-not-leak"
     try:
-        outcome, invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0)
+        invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0)
     finally:
         del os.environ["FORGELOOP_TEST_SECRET"]
     seen = json.loads(out_file.read_text())
-    assert outcome.exit_kind is ExitKind.COMPLETED
+    assert invocation.exit_kind is ExitKind.COMPLETED
     assert seen["cwd"] == str(toy_workspace.root)
     assert seen["argv_ws"] == str(toy_workspace.root)
     assert "FORGELOOP_TEST_SECRET" not in seen["env"]
@@ -129,7 +133,7 @@ def test_invocation_duration_ignores_wall_clock_steps(toy_workspace, monkeypatch
     stamps = iter([10_000.0, 10_000.0 - 3600.0])
     monkeypatch.setattr(time, "time", lambda: next(stamps, 10_000.0 - 3600.0))
     cfg = HarnessConfig(command_template=(sys.executable, "-c", "pass"), timeout_s=10)
-    _, invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0)
+    invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0)
     assert 0 <= invocation.duration < 60
     assert invocation.started == 10_000.0
 
@@ -142,10 +146,9 @@ def test_invoke_agent_spawn_failure(toy_workspace):
 
 def test_invoke_agent_crash_exit_kind(toy_workspace):
     cfg = HarnessConfig(command_template=(sys.executable, "-c", "raise SystemExit(3)"), timeout_s=5)
-    outcome, invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0)
-    assert outcome.exit_kind is ExitKind.CRASHED
-    assert outcome.exit_code == 3
+    invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0)
     assert invocation.exit_kind is ExitKind.CRASHED
+    assert invocation.exit_code == 3
 
 
 def test_timeout_kills_whole_process_tree(toy_workspace, tmp_path):
@@ -159,8 +162,8 @@ def test_timeout_kills_whole_process_tree(toy_workspace, tmp_path):
     )
     cfg = HarnessConfig(command_template=(sys.executable, "-c", script), timeout_s=1.0)
     started = time.monotonic()
-    outcome, invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0)
-    assert outcome.exit_kind is ExitKind.TIMEOUT
+    invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0)
+    assert invocation.exit_kind is ExitKind.TIMEOUT
     assert time.monotonic() - started < 10
     grandchild = int(pid_file.read_text())
     deadline = time.monotonic() + 3.0
@@ -183,8 +186,8 @@ def test_timeout_preserves_partial_edits(toy_workspace, tmp_path):
         "time.sleep(60)\n"
     )
     cfg = HarnessConfig(command_template=(sys.executable, "-c", script), timeout_s=1.0)
-    outcome, _ = invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0)
-    assert outcome.exit_kind is ExitKind.TIMEOUT
+    invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0)
+    assert invocation.exit_kind is ExitKind.TIMEOUT
     assert (toy_workspace.candidate_root / "partial.txt").read_text() == "half-done"
 
 
@@ -203,6 +206,43 @@ def test_invocation_ledger_event(toy_workspace, tmp_path):
     assert ev.payload["attempt"] == 2
     assert ev.payload["exit_kind"] == "completed"
     assert ev.payload["duration_s"] == pytest.approx(ev.payload["ended"] - ev.payload["started"])
+
+
+def test_crashed_agent_leaves_exit_code_and_stderr_tail_in_ledger(toy_workspace, tmp_path):
+    ledger_path = tmp_path / "ledger.jsonl"
+    ledger = LedgerWriter(ledger_path)
+    script = "import sys; sys.stderr.write('x' * 5000 + 'cannot find the model'); raise SystemExit(3)"
+    cfg = HarnessConfig(command_template=(sys.executable, "-c", script), timeout_s=10)
+    invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0, ledger=ledger)
+    ledger.close()
+    (ev,) = read_ledger(ledger_path)
+    assert ev.payload["exit_kind"] == "crashed"
+    assert ev.payload["exit_code"] == 3
+    assert ev.payload["stderr_tail"] == ("x" * 5000 + "cannot find the model")[-2000:]
+
+
+def test_kill_process_group_ignores_wall_clock(monkeypatch):
+    # A child that ignores SIGTERM gets the 0.5 s grace, then SIGKILL, even
+    # when the wall clock stands still.
+    child = subprocess.Popen(
+        [sys.executable, "-c",
+         "import signal, time; signal.signal(signal.SIGTERM, signal.SIG_IGN); print('ready', flush=True); "
+         "time.sleep(60)"],
+        stdout=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        assert child.stdout.readline() == b"ready\n"
+        monkeypatch.setattr(time, "time", lambda: 1000.0)
+        killer = threading.Thread(target=_kill_process_group, args=(child,), daemon=True)
+        killer.start()
+        killer.join(timeout=5)
+        assert not killer.is_alive(), "the grace loop never ended"
+        assert child.wait(timeout=5) == -signal.SIGKILL
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
 
 
 # -- scripted stub ---------------------------------------------------------------
@@ -234,7 +274,7 @@ def run_stub(toy_workspace, tmp_path, steps, timeout=30.0):
     sock = str(tmp_path / "s.sock")
     server.serve(sock)
     try:
-        outcome, invocation = invoke_agent(
+        invocation = invoke_agent(
             scripted_stub(script, timeout_s=timeout),
             bundle_for(),
             toy_workspace.root,
@@ -244,12 +284,12 @@ def run_stub(toy_workspace, tmp_path, steps, timeout=30.0):
         )
     finally:
         server.shutdown()
-    return outcome, invocation, findings
+    return invocation, findings
 
 
 def test_stub_apply_patch_and_tool_call(toy_workspace, tmp_path):
     patch = toy.new_file_diff("candidate/run", "#!/bin/sh\necho patched\n")
-    outcome, invocation, findings = run_stub(
+    invocation, findings = run_stub(
         toy_workspace,
         tmp_path,
         [
@@ -257,8 +297,8 @@ def test_stub_apply_patch_and_tool_call(toy_workspace, tmp_path):
             {"step": "call_tool", "name": "record_finding", "arguments": {"text": "observed"}},
         ],
     )
-    assert outcome.exit_kind is ExitKind.COMPLETED
-    assert outcome.tool_calls == 1
+    assert invocation.exit_kind is ExitKind.COMPLETED
+    assert invocation.tool_calls == 1
     assert findings == ["observed"]
     target = toy_workspace.candidate_root / "run"
     assert target.read_text() == "#!/bin/sh\necho patched\n"
@@ -266,21 +306,21 @@ def test_stub_apply_patch_and_tool_call(toy_workspace, tmp_path):
 
 
 def test_stub_empty_script_completes_with_no_effects(toy_workspace, tmp_path):
-    outcome, invocation, findings = run_stub(toy_workspace, tmp_path, [])
-    assert outcome.exit_kind is ExitKind.COMPLETED
-    assert outcome.tool_calls == 0
+    invocation, findings = run_stub(toy_workspace, tmp_path, [])
+    assert invocation.exit_kind is ExitKind.COMPLETED
+    assert invocation.tool_calls == 0
     assert findings == []
     assert list(toy_workspace.candidate_root.iterdir()) == []
 
 
 def test_stub_emit_becomes_final_result(toy_workspace, tmp_path):
-    outcome, _, _ = run_stub(
+    invocation, _ = run_stub(
         toy_workspace,
         tmp_path,
         [{"step": "emit", "approve": False, "violations": [{"kind": "criteria", "detail": "nope"}]}],
     )
-    assert outcome.result == {"approve": False, "violations": [{"kind": "criteria", "detail": "nope"}]}
-    assert outcome.tool_calls == 0
+    assert invocation.result == {"approve": False, "violations": [{"kind": "criteria", "detail": "nope"}]}
+    assert invocation.tool_calls == 0
 
 
 @pytest.mark.parametrize("pythonpath", ["src", None], ids=["relative-src", "unset"])
@@ -291,9 +331,9 @@ def test_stub_starts_whatever_the_callers_pythonpath(toy_workspace, tmp_path, mo
         monkeypatch.delenv("PYTHONPATH", raising=False)
     else:
         monkeypatch.setenv("PYTHONPATH", pythonpath)
-    outcome, _, _ = run_stub(toy_workspace, tmp_path, [{"step": "emit", "answer": 42}])
-    assert outcome.exit_kind is ExitKind.COMPLETED, outcome.stderr
-    assert outcome.result == {"answer": 42}
+    invocation, _ = run_stub(toy_workspace, tmp_path, [{"step": "emit", "answer": 42}])
+    assert invocation.exit_kind is ExitKind.COMPLETED, invocation.stderr
+    assert invocation.result == {"answer": 42}
 
 
 def test_stub_unknown_step_is_malformed(tmp_path):
@@ -306,6 +346,6 @@ def test_stub_unknown_step_is_malformed(tmp_path):
 
 def test_stub_sleep_step_runs(toy_workspace, tmp_path):
     started = time.monotonic()
-    outcome, _, _ = run_stub(toy_workspace, tmp_path, [{"step": "sleep", "seconds": 0.3}])
-    assert outcome.exit_kind is ExitKind.COMPLETED
+    invocation, _ = run_stub(toy_workspace, tmp_path, [{"step": "sleep", "seconds": 0.3}])
+    assert invocation.exit_kind is ExitKind.COMPLETED
     assert time.monotonic() - started >= 0.3

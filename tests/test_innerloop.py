@@ -1,11 +1,16 @@
 """Inner loop: reward-hack scanner, judge gates, evaluator, and the round
 engine driven by scripted stubs."""
 
+import dataclasses
+import os
+import time
+
 import pytest
 
 from forgeloop.harness import AgentRole
 from forgeloop.innerloop import (
     BenchmarkFailed,
+    CheckerUnrunnable,
     ProbeResult,
     ProbeRunFailed,
     RoundStatus,
@@ -18,13 +23,14 @@ from forgeloop.innerloop import (
     JudgeContext,
     process_probe_runner,
     run_benchmark,
+    run_profilers,
     scan_reward_hacks,
 )
 from forgeloop.ledger import LedgerWriter, read_ledger
 from forgeloop.mcp import ToolServer
 from forgeloop.policy import IssueTrackerPolicy, RoundDirective
 from forgeloop.runner import stub_harness_provider
-from forgeloop.workspace import verify_mounts
+from forgeloop.workspace import init_workspace, verify_mounts
 
 import toy
 
@@ -162,7 +168,7 @@ def judge_once(ws, contract, tmp_path):
 
 def test_judge_passes_correct_candidate(toy_workspace, toy_contract, tmp_path):
     write_candidate(toy_workspace, toy.candidate_source(0.0))
-    verdict, invocation, outcome, notes = judge_once(toy_workspace, toy_contract, tmp_path)
+    verdict, invocation, notes = judge_once(toy_workspace, toy_contract, tmp_path)
     assert verdict.passed
     assert invocation is not None  # the judge agent ran
     # checks (b) and (c) degrade to unchecked on this setup
@@ -171,21 +177,21 @@ def test_judge_passes_correct_candidate(toy_workspace, toy_contract, tmp_path):
 
 def test_judge_checker_failure_carries_stderr(toy_workspace, toy_contract, tmp_path):
     write_candidate(toy_workspace, toy.candidate_source(0.0, correct=False))
-    verdict, _, _, _ = judge_once(toy_workspace, toy_contract, tmp_path)
+    verdict, _, _ = judge_once(toy_workspace, toy_contract, tmp_path)
     assert not verdict.passed
     accuracy = [v for v in verdict.violations if v.kind == "accuracy"]
     assert accuracy and "mismatch" in accuracy[0].detail
 
 
 def test_judge_missing_candidate_is_accuracy_failure(toy_workspace, toy_contract, tmp_path):
-    verdict, _, _, _ = judge_once(toy_workspace, toy_contract, tmp_path)
+    verdict, _, _ = judge_once(toy_workspace, toy_contract, tmp_path)
     assert not verdict.passed
     assert any("no run entrypoint" in v.detail for v in verdict.violations)
 
 
 def test_judge_detects_hack_candidate_via_probes(toy_workspace, toy_contract, tmp_path):
     write_candidate(toy_workspace, toy.hack_candidate_source())
-    verdict, _, _, _ = judge_once(toy_workspace, toy_contract, tmp_path)
+    verdict, _, _ = judge_once(toy_workspace, toy_contract, tmp_path)
     assert not verdict.passed
     kinds = {v.kind for v in verdict.violations}
     assert kinds == {"reward_hack"}  # checker passed; only the scan fired
@@ -211,7 +217,7 @@ def test_judge_agent_review_appends_after_scan_flag(toy_workspace, toy_contract,
             server=server,
             endpoint=sock,
         )
-        verdict, invocation, _, _ = judge(
+        verdict, invocation, _ = judge(
             toy_workspace, directive_for(), toy_contract, ctx, round_index=0, attempt=1
         )
     finally:
@@ -227,7 +233,7 @@ def test_judge_tamper_short_circuits(toy_workspace, toy_contract, tmp_path):
     checker.chmod(0o755)  # keep it runnable; the digest is what flags the edit
     with checker.open("a") as fh:
         fh.write("# evil\n")
-    verdict, invocation, outcome, _ = judge_once(toy_workspace, toy_contract, tmp_path)
+    verdict, invocation, _ = judge_once(toy_workspace, toy_contract, tmp_path)
     assert not verdict.passed
     assert any(v.kind == "tamper" and "artifacts/checker" in v.detail for v in verdict.violations)
     assert invocation is None  # agent review skipped on a compromised workspace
@@ -250,7 +256,7 @@ def test_judge_agent_can_add_but_not_clear_violations(toy_workspace, toy_contrac
         ctx = JudgeContext(
             harness=provider(AgentRole.JUDGE, 0, 1), server=server, endpoint=sock
         )
-        verdict, _, _, _ = judge(
+        verdict, _, _ = judge(
             toy_workspace, directive_for(), toy_contract, ctx, round_index=0, attempt=1
         )
     finally:
@@ -264,7 +270,7 @@ def test_build_step_failure_is_accuracy_violation(toy_workspace, toy_contract, t
     build = toy_workspace.candidate_root / "build"
     build.write_text("#!/bin/sh\necho boom >&2\nexit 1\n")
     build.chmod(0o755)
-    verdict, _, _, _ = judge_once(toy_workspace, toy_contract, tmp_path)
+    verdict, _, _ = judge_once(toy_workspace, toy_contract, tmp_path)
     assert any(v.kind == "accuracy" and "boom" in v.detail for v in verdict.violations)
 
 
@@ -422,6 +428,94 @@ def test_hanging_profiler_is_a_note_not_a_crash(toy_workspace, toy_contract, tmp
     prompt = (toy_workspace.root / ".prompts" / "evaluator-r0-a1.md").read_text()
     assert "Profiler `sleep 60` output:\nprofiler failed:" in prompt
     assert "timed out" in prompt
+
+
+# -- gates that outlive their deadline -------------------------------------------
+
+
+def hanging_gate(path, pid_file):
+    """A gate that starts a background sleeper, records its pid, then hangs."""
+    path.write_text(f"#!/bin/sh\nsleep 60 &\necho $! > {pid_file}\nsleep 60\n")
+    path.chmod(0o755)
+    return path
+
+
+def assert_gone(pid_file):
+    pid = int(pid_file.read_text())
+    deadline = time.monotonic() + 3.0
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.05)
+    raise AssertionError(f"grandchild {pid} survived the gate's deadline")
+
+
+def short_limit(contract, seconds=1, **changes):
+    budgets = dataclasses.replace(contract.budgets, round_wall_clock_limit_s=seconds)
+    return dataclasses.replace(contract, budgets=budgets, **changes)
+
+
+def test_hanging_checker_is_unrunnable_and_leaves_no_survivor(toy_contract, tmp_path):
+    pid_file = tmp_path / "checker-grandchild.pid"
+    contract = short_limit(toy_contract, checker=hanging_gate(tmp_path / "checker", pid_file))
+    ws = init_workspace(contract, tmp_path / "hang-ws")
+    write_candidate(ws, toy.candidate_source(0.0))
+    with pytest.raises(CheckerUnrunnable, match="timed out"):
+        judge_once(ws, contract, tmp_path)
+    assert_gone(pid_file)
+
+
+def test_hanging_benchmark_is_an_error_round_and_leaves_no_survivor(toy_contract, tmp_path):
+    pid_file = tmp_path / "benchmark-grandchild.pid"
+    contract = short_limit(toy_contract, 3, benchmark=hanging_gate(tmp_path / "benchmark", pid_file))
+    ws = init_workspace(contract, tmp_path / "hang-ws")
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    toy.write_script(
+        scripts / "implementer_r0_a1.jsonl",
+        [{"step": "apply_patch", "patch": toy.new_file_diff("candidate/run", toy.candidate_source(0.0))}],
+    )
+    policy, server, sock, ledger, task = round_setup(ws, tmp_path)
+    try:
+        result = execute_round(
+            task,
+            ws,
+            contract,
+            stub_harness_provider(scripts, 30),
+            server=server,
+            endpoint=sock,
+            ledger=ledger,
+            allowed_tools=policy.allowed_tools,
+        )
+    finally:
+        server.shutdown()
+        ledger.close()
+    assert result.status is RoundStatus.ERROR
+    assert "benchmark did not run" in result.feedback[0]
+    assert_gone(pid_file)
+
+
+@pytest.mark.parametrize("gate", ["build", "probe", "profiler"])
+def test_hanging_build_probe_and_profiler_leave_no_survivor(toy_workspace, toy_contract, tmp_path, gate):
+    ws = toy_workspace
+    pid_file = tmp_path / f"{gate}-grandchild.pid"
+    if gate == "build":
+        write_candidate(ws, toy.candidate_source(0.0))
+        hanging_gate(ws.candidate_root / "build", pid_file)
+        verdict, _, _ = judge_once(ws, short_limit(toy_contract), tmp_path)
+        assert any("build step failed to run" in v.detail for v in verdict.violations)
+    elif gate == "probe":
+        hanging_gate(ws.candidate_root / "run", pid_file)
+        with pytest.raises(ProbeRunFailed, match="timed out"):
+            process_probe_runner(ws.candidate_root, timeout_s=1)("probe")
+    else:
+        command = f"sh {hanging_gate(tmp_path / 'profile', pid_file)}"
+        contract = short_limit(toy_contract, profiler_commands=(command,))
+        [(_, output)] = run_profilers(ws, contract)
+        assert output.startswith("profiler failed:") and "timed out" in output
+    assert_gone(pid_file)
 
 
 def test_round_budget_exhaustion(toy_workspace, toy_contract, tmp_path):

@@ -1,5 +1,6 @@
 """Workspace: mounts, checkpoints, reverts, tamper detection, diffs."""
 
+import os
 import random
 import stat
 import subprocess
@@ -21,6 +22,7 @@ from forgeloop.workspace import (
     diff_since,
     init_workspace,
     restore_mounts,
+    restore_tree,
     revert_to,
     verify_mounts,
 )
@@ -262,6 +264,36 @@ def test_diff_since_binary_file_has_zero_line_delta(toy_workspace):
     assert changes == [("candidate/new.bin", "added", 0), ("candidate/weights.bin", "modified", 0)]
 
 
+def test_restore_tree_undoes_every_evaluator_edit(toy_workspace):
+    ws = toy_workspace
+    stable = write_candidate(ws, "stable.txt", "aaaa\n")
+    changed = write_candidate(ws, "changed.txt", "v1\n")
+    doomed = write_candidate(ws, "doomed.txt", "keep me\n")
+    commit_checkpoint(ws, 0, metric(), FakeVerdict())
+    changed.write_text("v2 from this round\n")
+    snapshot = ws.worktree_digest()
+
+    # Evaluator edits: same size and mtime on a file unchanged since HEAD,
+    # a file changed this round, a deletion, a staged file, an untracked file.
+    before = stable.stat()
+    stable.write_text("bbbb\n")
+    os.utime(stable, ns=(before.st_atime_ns, before.st_mtime_ns))
+    changed.write_text("instrumented\n")
+    doomed.unlink()
+    write_candidate(ws, "added.txt", "staged\n")
+    ws._git("add", "candidate/added.txt")
+    write_candidate(ws, "scratch.txt", "untracked\n")
+
+    restore_tree(ws, snapshot)
+    assert ws.worktree_digest() == snapshot
+    assert ws._git("write-tree").stdout.strip() == snapshot  # the index too
+    assert stable.read_text() == "aaaa\n"
+    assert changed.read_text() == "v2 from this round\n"
+    assert doomed.read_text() == "keep me\n"
+    assert not (ws.candidate_root / "added.txt").exists()
+    assert not (ws.candidate_root / "scratch.txt").exists()
+
+
 def test_validated_round_git_calls(toy_workspace, toy_contract, tmp_path, monkeypatch):
     # One validated round (Implementer, Judge, Evaluator, checkpoint) makes
     # at most this many git calls; a new call per round must be a decision.
@@ -298,4 +330,4 @@ def test_validated_round_git_calls(toy_workspace, toy_contract, tmp_path, monkey
     finally:
         server.shutdown()
     assert result.status is RoundStatus.VALIDATED
-    assert len(calls) <= 15, calls
+    assert len(calls) <= 13, calls
