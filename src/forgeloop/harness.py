@@ -158,7 +158,6 @@ def invoke_agent(
     cfg: HarnessConfig,
     bundle: PromptBundle,
     workspace_root: Path,
-    tools_endpoint: str,
     round_index: int,
     server=None,
     ledger=None,
@@ -170,7 +169,8 @@ def invoke_agent(
     The child is launched in its own session group so a timeout can kill the
     whole process tree; on timeout the worktree is left as-is for the Judge
     to inspect. When ``server`` is given, a tool session brackets the spawn
-    and supplies the tool-call count and the final structured result.
+    and supplies the tool-call count and the final structured result, and
+    ``{endpoint}`` expands to its socket path (to ``""`` without a server).
     """
     document = render_prompt(bundle)
     digest = prompt_digest(document)
@@ -184,7 +184,7 @@ def invoke_agent(
     substitutions = {
         "{workspace}": str(workspace_root),
         "{prompt_file}": str(prompt_file),
-        "{endpoint}": tools_endpoint,
+        "{endpoint}": getattr(server, "socket_path", None) or "",
         "{role}": bundle.role.value,
     }
     command = []
@@ -257,9 +257,11 @@ class Completed:
 
 
 def run_bounded(argv, cwd, timeout_s: float, env=None, text: bool = True, shell: bool = False) -> Completed:
-    """Run one child in its own session with stdout and stderr captured; at
-    the deadline kill its whole process group. Raises OSError when the child
-    cannot start."""
+    """Run one child in its own session with stdout and stderr captured, and
+    kill its whole process group when it exits or at the deadline, whichever
+    comes first, so no background process outlives it. A descendant that
+    calls ``setsid`` itself leaves the group and escapes. Raises OSError when
+    the child cannot start."""
     clock = time.monotonic()
     proc = subprocess.Popen(
         argv,
@@ -274,6 +276,7 @@ def run_bounded(argv, cwd, timeout_s: float, env=None, text: bool = True, shell:
     try:
         stdout, stderr = proc.communicate(timeout=timeout_s)
         timed_out = False
+        _kill_process_group(proc)  # returns at once when the group is empty
     except subprocess.TimeoutExpired:
         _kill_process_group(proc)
         stdout, stderr = proc.communicate()

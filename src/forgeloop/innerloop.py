@@ -9,6 +9,10 @@ tampered mount fails the round immediately; the Evaluator runs only after a
 passed verdict, and its worktree edits are discarded before the checkpoint
 commit.
 
+Every agent turn of a round (Implementer, Judge, Evaluator) goes through
+one :class:`Agents` record, which holds the harness provider, the run's tool
+server and ledger, and each role's tool filter.
+
 Candidate conventions (documented in the README): an executable ``build``
 at the candidate root is run before judging when present; an executable
 ``run`` answers a single prompt (argv[1]) on stdout and is what the probe
@@ -21,7 +25,7 @@ import enum
 import json
 import os
 import subprocess  # noqa: F401 - unused here; overheadbench's tracer replaces this module attribute
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -33,6 +37,7 @@ from forgeloop.harness import (
     AgentInvocation,
     Completed,
     HarnessConfig,
+    PromptBundle,
     assemble_prompt,
     invoke_agent,
     run_bounded,
@@ -101,25 +106,39 @@ class RoundStatus(enum.Enum):
 
 
 @dataclass(frozen=True)
-class RoundTask:
-    directive: object  # policy.RoundDirective
-    round: int
-    retry_budget: int
-
-    def __post_init__(self):
-        if self.retry_budget < 1:
-            raise ValueError("retry_budget must be >= 1")
-
-
-@dataclass(frozen=True)
 class RoundResult:
     status: RoundStatus
     commit: Optional[Checkpoint] = None
     metric: Optional[MetricReport] = None
     hints: tuple[str, ...] = ()
     feedback: tuple[str, ...] = ()
-    filed_issues: tuple[int, ...] = ()
-    invocations: tuple[AgentInvocation, ...] = ()
+
+
+HarnessProvider = Callable[[AgentRole, int, int], HarnessConfig]
+
+
+@dataclass(frozen=True)
+class Agents:
+    """How a round reaches its agents: the harness for each (role, round,
+    attempt), the run's tool server and ledger, and the tools a role may
+    call (``None``: every served tool)."""
+
+    harnesses: HarnessProvider
+    server: object = None
+    ledger: object = None
+    allowed_tools: Callable[[AgentRole], Optional[Sequence[str]]] = lambda role: None
+
+    def turn(self, ws: Workspace, bundle: PromptBundle, round_index: int, attempt: int = 1) -> AgentInvocation:
+        return invoke_agent(
+            self.harnesses(bundle.role, round_index, attempt),
+            bundle,
+            ws.root,
+            round_index,
+            server=self.server,
+            ledger=self.ledger,
+            allowed_tools=self.allowed_tools(bundle.role),
+            attempt=attempt,
+        )
 
 
 # -- reward-hack scan ----------------------------------------------------
@@ -287,26 +306,14 @@ def _parse_agent_verdict(result: object) -> list[Violation]:
     return added
 
 
-@dataclass
-class JudgeContext:
-    """Everything a judge pass needs besides the workspace and contract."""
-
-    harness: HarnessConfig
-    server: object = None
-    endpoint: str = ""
-    ledger: object = None
-    scan_config: ScanConfig = field(default_factory=ScanConfig)
-    allowed_tools: Optional[Sequence[str]] = None
-    probe_runner_factory: Callable[[Path], ProbeRunner] = process_probe_runner
-
-
 def judge(
     ws: Workspace,
     directive,
     contract: TargetContract,
-    ctx: JudgeContext,
+    agents: Agents,
     round_index: int,
     attempt: int,
+    scan_config: ScanConfig = ScanConfig(),
 ) -> tuple[Verdict, Optional[AgentInvocation], tuple[str, ...]]:
     """Run the four correctness gates; returns the verdict, the judge agent's
     invocation, and any unchecked-scan notes."""
@@ -344,9 +351,7 @@ def judge(
         if len(distinct_probes) >= 2:
             try:
                 scan = scan_reward_hacks(
-                    ctx.probe_runner_factory(ws.candidate_root),
-                    contract.probe_prompts,
-                    ctx.scan_config,
+                    process_probe_runner(ws.candidate_root), contract.probe_prompts, scan_config
                 )
             except ProbeRunFailed as exc:
                 violations.append(Violation(ACCURACY, f"probe run failed: {exc}"))
@@ -376,17 +381,7 @@ def judge(
         feedback=None,
         instructions=contract.instructions,
     )
-    invocation = invoke_agent(
-        ctx.harness,
-        bundle,
-        ws.root,
-        ctx.endpoint,
-        round_index,
-        server=ctx.server,
-        ledger=ctx.ledger,
-        allowed_tools=ctx.allowed_tools,
-        attempt=attempt,
-    )
+    invocation = agents.turn(ws, bundle, round_index, attempt)
     violations.extend(_parse_agent_verdict(invocation.result))
 
     return Verdict(violations=tuple(violations)), invocation, tuple(notes)
@@ -423,14 +418,7 @@ def run_profilers(ws: Workspace, contract: TargetContract) -> list[tuple[str, st
 
 
 def evaluate(
-    ws: Workspace,
-    contract: TargetContract,
-    evaluator_harness: HarnessConfig,
-    server=None,
-    endpoint: str = "",
-    ledger=None,
-    round_index: int = 0,
-    allowed_tools: Optional[Sequence[str]] = None,
+    ws: Workspace, contract: TargetContract, agents: Agents, round_index: int = 0
 ) -> tuple[MetricReport, tuple[str, ...], AgentInvocation]:
     """Benchmark the candidate, then let the Evaluator agent turn the report
     and profiler output into hints (delivered via record_finding)."""
@@ -453,17 +441,7 @@ def evaluate(
     bundle = assemble_prompt(
         AgentRole.EVALUATOR, task_text, (), (), feedback=None, instructions=contract.instructions
     )
-    invocation = invoke_agent(
-        evaluator_harness,
-        bundle,
-        ws.root,
-        endpoint,
-        round_index,
-        server=server,
-        ledger=ledger,
-        allowed_tools=allowed_tools,
-        attempt=1,
-    )
+    invocation = agents.turn(ws, bundle, round_index)
     hints = tuple(
         entry.arguments.get("text", "")
         for entry in invocation.tool_log
@@ -474,59 +452,41 @@ def evaluate(
 
 # -- the round engine --------------------------------------------------------
 
-HarnessProvider = Callable[[AgentRole, int, int], HarnessConfig]
-
-
-def _filed_issue_ids(invocations: Sequence[AgentInvocation]) -> list[int]:
-    ids = []
-    for invocation in invocations:
-        for entry in invocation.tool_log:
-            if entry.tool == "file_issue" and entry.ok and entry.payload:
-                ids.append(int(entry.payload["issue_id"]))
-    return ids
-
 
 def execute_round(
-    task: RoundTask,
+    directive,
+    round_index: int,
     ws: Workspace,
     contract: TargetContract,
-    harnesses: HarnessProvider,
-    server=None,
-    endpoint: str = "",
-    ledger=None,
+    agents: Agents,
     library: Optional[SkillLibrary] = None,
     scan_config: ScanConfig = ScanConfig(),
-    allowed_tools: Optional[Callable[[AgentRole], Optional[Sequence[str]]]] = None,
 ) -> RoundResult:
-    """Drive one round to a RoundResult; the repo head moves only on success."""
-    directive = task.directive
-    round_index = task.round
-
+    """Drive one round to a RoundResult; the repo head moves only on success.
+    The Implementer gets ``contract.budgets.retry_budget`` attempts."""
+    ledger = agents.ledger
     if directive.start is not None and ws.head != directive.start.commit:
         revert_to(ws, directive.start)
         if ledger is not None:
             ledger.append(
                 "revert",
                 round_index,
-                {"to_commit": directive.start.commit, "reason": "round start positioning"},
+                {
+                    "to_commit": directive.start.commit,
+                    "reason": "round start positioning",
+                    "tree_digest": directive.start.tree_digest,
+                },
             )
 
     skills = tuple(retrieve(library, directive.task_text, 3)) if library is not None else ()
-    tools_for = allowed_tools or (lambda role: None)
 
-    invocations: list[AgentInvocation] = []
     feedback: Optional[str] = None
     feedback_log: list[str] = []
     verdict: Optional[Verdict] = None
 
     def fail_round(status: RoundStatus, details: Sequence[str]) -> RoundResult:
         discard_worktree(ws)
-        return RoundResult(
-            status=status,
-            feedback=tuple(details),
-            filed_issues=tuple(_filed_issue_ids(invocations)),
-            invocations=tuple(invocations),
-        )
+        return RoundResult(status=status, feedback=tuple(details))
 
     def record_verdict(attempt: int, violations: Sequence[Violation]) -> None:
         if ledger is not None:
@@ -546,7 +506,7 @@ def execute_round(
         return result
 
     passed_attempt = 0
-    for attempt in range(1, task.retry_budget + 1):
+    for attempt in range(1, contract.budgets.retry_budget + 1):
         bundle = assemble_prompt(
             AgentRole.IMPLEMENTER,
             directive.task_text,
@@ -555,36 +515,12 @@ def execute_round(
             feedback=feedback,
             instructions=contract.instructions,
         )
-        invocation = invoke_agent(
-            harnesses(AgentRole.IMPLEMENTER, round_index, attempt),
-            bundle,
-            ws.root,
-            endpoint,
-            round_index,
-            server=server,
-            ledger=ledger,
-            allowed_tools=tools_for(AgentRole.IMPLEMENTER),
-            attempt=attempt,
-        )
-        invocations.append(invocation)
-
-        judge_ctx = JudgeContext(
-            harness=harnesses(AgentRole.JUDGE, round_index, attempt),
-            server=server,
-            endpoint=endpoint,
-            ledger=ledger,
-            scan_config=scan_config,
-            allowed_tools=tools_for(AgentRole.JUDGE),
-        )
+        agents.turn(ws, bundle, round_index, attempt)
         try:
-            verdict, judge_inv, _notes = judge(
-                ws, directive, contract, judge_ctx, round_index, attempt
-            )
+            verdict, _inv, _notes = judge(ws, directive, contract, agents, round_index, attempt, scan_config)
         except CheckerUnrunnable as exc:
             record_verdict(attempt, [Violation(ACCURACY, str(exc))])
             return fail_round(RoundStatus.ERROR, [str(exc)])
-        if judge_inv is not None:
-            invocations.append(judge_inv)
         record_verdict(attempt, verdict.violations)
 
         if any(v.kind == TAMPER for v in verdict.violations):
@@ -604,19 +540,9 @@ def execute_round(
     # before committing the checkpoint.
     post_judge_tree = ws.worktree_digest()
     try:
-        report, hints, eval_inv = evaluate(
-            ws,
-            contract,
-            harnesses(AgentRole.EVALUATOR, round_index, 1),
-            server=server,
-            endpoint=endpoint,
-            ledger=ledger,
-            round_index=round_index,
-            allowed_tools=tools_for(AgentRole.EVALUATOR),
-        )
+        report, hints, _inv = evaluate(ws, contract, agents, round_index)
     except (BenchmarkFailed, MetricParseError) as exc:
         return fail_round(RoundStatus.ERROR, [str(exc)])
-    invocations.append(eval_inv)
     restore_tree(ws, post_judge_tree)
 
     # End-of-round mount verification: the Evaluator phase must not have
@@ -644,12 +570,4 @@ def execute_round(
                 "tree_digest": checkpoint.tree_digest,
             },
         )
-    return RoundResult(
-        status=RoundStatus.VALIDATED,
-        commit=checkpoint,
-        metric=report,
-        hints=hints,
-        feedback=(),
-        filed_issues=tuple(_filed_issue_ids(invocations)),
-        invocations=tuple(invocations),
-    )
+    return RoundResult(status=RoundStatus.VALIDATED, commit=checkpoint, metric=report, hints=hints)

@@ -268,13 +268,11 @@ class IssueTrackerPolicy(Policy):
         self,
         workspace: Workspace,
         epsilon_rel: float = 0.005,
-        stub_mode: bool = True,
         orchestrator_invoker: Optional[Callable[["IssueTrackerPolicy", int], None]] = None,
         revert_fn: Optional[RevertFn] = None,
         seed_task: bool = True,
     ):
         super().__init__(workspace, epsilon_rel, revert_fn)
-        self.stub_mode = stub_mode
         self.orchestrator_invoker = orchestrator_invoker
         self.seed_task = seed_task
         self.issues: dict[int, Issue] = {}
@@ -440,7 +438,7 @@ class IssueTrackerPolicy(Policy):
         eligible = [i for i in open_issues if self._deps_done(i)]
         if not eligible:
             raise NoEligibleIssue("every open issue is blocked by an unfinished dependency")
-        if not self.stub_mode and self.orchestrator_invoker is not None:
+        if self.orchestrator_invoker is not None:
             self._selected_by_tool = None
             self.orchestrator_invoker(self, round_index)
             if self._selected_by_tool is not None:

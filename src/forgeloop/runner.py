@@ -1,8 +1,11 @@
 """Drives a full run: rounds until the budget is spent or the policy is done.
 
 Wires together the workspace, the policy's tool server, harness providers,
-and the event ledger. In stub mode every agent turn is a scripted stub
-resolved from the scripts directory by naming convention:
+and the event ledger. Every agent turn, the Orchestrator's included, goes
+through one :class:`~forgeloop.innerloop.Agents` record, and ``{endpoint}``
+in a harness command is the run's tool socket. In stub mode every agent
+turn is a scripted stub resolved from the scripts directory by naming
+convention:
 
     <role>_r<round>_a<attempt>.jsonl   (most specific)
     <role>_r<round>.jsonl
@@ -22,15 +25,8 @@ from typing import Optional
 
 from forgeloop.contract import TargetContract, validate_contract
 from forgeloop.errors import ForgeloopError
-from forgeloop.harness import (
-    AgentRole,
-    HarnessConfig,
-    assemble_prompt,
-    invoke_agent,
-    prompt_digest,
-    scripted_stub,
-)
-from forgeloop.innerloop import RoundStatus, RoundTask, ScanConfig, execute_round
+from forgeloop.harness import AgentRole, HarnessConfig, assemble_prompt, prompt_digest, scripted_stub
+from forgeloop.innerloop import Agents, RoundStatus, ScanConfig, execute_round
 from forgeloop.ledger import LedgerWriter
 from forgeloop.mcp import ToolServer
 from forgeloop.policy import (
@@ -95,21 +91,9 @@ class RunOutcome:
     stopped_reason: str
 
 
-def make_policy(
-    name: str,
-    ws: Workspace,
-    mode: str,
-    task_text: str,
-    revert_fn,
-    orchestrator_invoker=None,
-):
+def make_policy(name: str, ws: Workspace, task_text: str, revert_fn, orchestrator_invoker=None):
     if name == "issue_tracker":
-        return IssueTrackerPolicy(
-            ws,
-            stub_mode=(mode == "stub"),
-            orchestrator_invoker=orchestrator_invoker,
-            revert_fn=revert_fn,
-        )
+        return IssueTrackerPolicy(ws, orchestrator_invoker=orchestrator_invoker, revert_fn=revert_fn)
     if name == "evolutionary":
         return EvolutionaryPolicy(ws, seed_task=task_text, revert_fn=revert_fn)
     if name == "ralph":
@@ -176,20 +160,12 @@ def run_target(
             bundle = assemble_prompt(
                 AgentRole.ORCHESTRATOR, task, (), (), feedback=None, instructions=contract.instructions
             )
-            invoke_agent(
-                harnesses(AgentRole.ORCHESTRATOR, round_index, 1),
-                bundle,
-                ws.root,
-                endpoint,
-                round_index,
-                server=server,
-                ledger=ledger,
-                allowed_tools=policy.allowed_tools(AgentRole.ORCHESTRATOR),
-            )
+            agents.turn(ws, bundle, round_index)
 
-    policy = make_policy(policy_name, ws, mode, task_text, revert_fn, orchestrator_invoker)
+    policy = make_policy(policy_name, ws, task_text, revert_fn, orchestrator_invoker)
     server = ToolServer(list(policy.served_toolset()), ledger=ledger)
     server.serve(endpoint)
+    agents = Agents(harnesses, server=server, ledger=ledger, allowed_tools=policy.allowed_tools)
 
     checkpoints = 0
     rounds_run = 0
@@ -215,23 +191,7 @@ def run_target(
                 },
             )
 
-            task = RoundTask(
-                directive=directive,
-                round=round_index,
-                retry_budget=contract.budgets.retry_budget,
-            )
-            result = execute_round(
-                task,
-                ws,
-                contract,
-                harnesses,
-                server=server,
-                endpoint=endpoint,
-                ledger=ledger,
-                library=library,
-                scan_config=scan_config,
-                allowed_tools=policy.allowed_tools,
-            )
+            result = execute_round(directive, round_index, ws, contract, agents, library, scan_config)
             rounds_run += 1
             if result.status is RoundStatus.VALIDATED:
                 checkpoints += 1

@@ -22,6 +22,7 @@ from forgeloop.harness import (
     invoke_agent,
     prompt_digest,
     render_prompt,
+    run_bounded,
     scripted_stub,
 )
 from forgeloop.ledger import LedgerWriter, read_ledger
@@ -116,7 +117,7 @@ def test_invoke_agent_runs_in_workspace_with_sanitized_env(toy_workspace, tmp_pa
     )
     os.environ["FORGELOOP_TEST_SECRET"] = "do-not-leak"
     try:
-        invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0)
+        invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, 0)
     finally:
         del os.environ["FORGELOOP_TEST_SECRET"]
     seen = json.loads(out_file.read_text())
@@ -128,12 +129,27 @@ def test_invoke_agent_runs_in_workspace_with_sanitized_env(toy_workspace, tmp_pa
     assert invocation.prompt_digest == prompt_digest(render_prompt(bundle_for()))
 
 
+def test_endpoint_is_the_tool_servers_socket(toy_workspace, tmp_path):
+    cfg = HarnessConfig(
+        command_template=(sys.executable, "-c", "import sys; sys.stderr.write(sys.argv[1])", "{endpoint}"),
+        timeout_s=10,
+    )
+    assert invoke_agent(cfg, bundle_for(), toy_workspace.root, 0).stderr == ""
+    server = ToolServer([])
+    server.serve(str(tmp_path / "ep.sock"))
+    try:
+        invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, 0, server=server)
+        assert invocation.stderr == server.socket_path
+    finally:
+        server.shutdown()
+
+
 def test_invocation_duration_ignores_wall_clock_steps(toy_workspace, monkeypatch):
     # The wall clock steps back an hour mid-turn; the duration must not.
     stamps = iter([10_000.0, 10_000.0 - 3600.0])
     monkeypatch.setattr(time, "time", lambda: next(stamps, 10_000.0 - 3600.0))
     cfg = HarnessConfig(command_template=(sys.executable, "-c", "pass"), timeout_s=10)
-    invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0)
+    invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, 0)
     assert 0 <= invocation.duration < 60
     assert invocation.started == 10_000.0
 
@@ -141,12 +157,12 @@ def test_invocation_duration_ignores_wall_clock_steps(toy_workspace, monkeypatch
 def test_invoke_agent_spawn_failure(toy_workspace):
     cfg = HarnessConfig(command_template=("/no/such/binary",), timeout_s=5)
     with pytest.raises(SpawnFailed):
-        invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0)
+        invoke_agent(cfg, bundle_for(), toy_workspace.root, 0)
 
 
 def test_invoke_agent_crash_exit_kind(toy_workspace):
     cfg = HarnessConfig(command_template=(sys.executable, "-c", "raise SystemExit(3)"), timeout_s=5)
-    invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0)
+    invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, 0)
     assert invocation.exit_kind is ExitKind.CRASHED
     assert invocation.exit_code == 3
 
@@ -162,7 +178,7 @@ def test_timeout_kills_whole_process_tree(toy_workspace, tmp_path):
     )
     cfg = HarnessConfig(command_template=(sys.executable, "-c", script), timeout_s=1.0)
     started = time.monotonic()
-    invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0)
+    invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, 0)
     assert invocation.exit_kind is ExitKind.TIMEOUT
     assert time.monotonic() - started < 10
     grandchild = int(pid_file.read_text())
@@ -186,7 +202,7 @@ def test_timeout_preserves_partial_edits(toy_workspace, tmp_path):
         "time.sleep(60)\n"
     )
     cfg = HarnessConfig(command_template=(sys.executable, "-c", script), timeout_s=1.0)
-    invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0)
+    invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, 0)
     assert invocation.exit_kind is ExitKind.TIMEOUT
     assert (toy_workspace.candidate_root / "partial.txt").read_text() == "half-done"
 
@@ -195,7 +211,7 @@ def test_invocation_ledger_event(toy_workspace, tmp_path):
     ledger_path = tmp_path / "ledger.jsonl"
     ledger = LedgerWriter(ledger_path)
     cfg = HarnessConfig(command_template=(sys.executable, "-c", "pass"), timeout_s=5)
-    invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 4, ledger=ledger, attempt=2)
+    invoke_agent(cfg, bundle_for(), toy_workspace.root, 4, ledger=ledger, attempt=2)
     ledger.close()
     events = read_ledger(ledger_path)
     assert len(events) == 1
@@ -213,12 +229,28 @@ def test_crashed_agent_leaves_exit_code_and_stderr_tail_in_ledger(toy_workspace,
     ledger = LedgerWriter(ledger_path)
     script = "import sys; sys.stderr.write('x' * 5000 + 'cannot find the model'); raise SystemExit(3)"
     cfg = HarnessConfig(command_template=(sys.executable, "-c", script), timeout_s=10)
-    invoke_agent(cfg, bundle_for(), toy_workspace.root, "", 0, ledger=ledger)
+    invoke_agent(cfg, bundle_for(), toy_workspace.root, 0, ledger=ledger)
     ledger.close()
     (ev,) = read_ledger(ledger_path)
     assert ev.payload["exit_kind"] == "crashed"
     assert ev.payload["exit_code"] == 3
     assert ev.payload["stderr_tail"] == ("x" * 5000 + "cannot find the model")[-2000:]
+
+
+def test_normal_exit_reaps_background_children(tmp_path):
+    # The child exits at once, leaving a sleeper in its process group.
+    done = run_bounded(["sh", "-c", "sleep 30 >/dev/null 2>&1 & echo $! > pid; exit 0"], tmp_path, 5)
+    assert done.returncode == 0 and not done.timed_out
+    sleeper = int((tmp_path / "pid").read_text())
+    deadline = time.monotonic() + 3.0
+    while time.monotonic() < deadline:
+        try:
+            os.kill(sleeper, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.05)
+    os.kill(sleeper, signal.SIGKILL)
+    raise AssertionError(f"background child {sleeper} outlived its parent's normal exit")
 
 
 def test_kill_process_group_ignores_wall_clock(monkeypatch):
@@ -278,7 +310,6 @@ def run_stub(toy_workspace, tmp_path, steps, timeout=30.0):
             scripted_stub(script, timeout_s=timeout),
             bundle_for(),
             toy_workspace.root,
-            sock,
             0,
             server=server,
         )

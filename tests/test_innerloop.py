@@ -7,20 +7,20 @@ import time
 
 import pytest
 
-from forgeloop.harness import AgentRole
+from forgeloop.gates.metrics import MetricReport
 from forgeloop.innerloop import (
+    Agents,
     BenchmarkFailed,
     CheckerUnrunnable,
     ProbeResult,
     ProbeRunFailed,
     RoundStatus,
-    RoundTask,
     ScanConfig,
+    Verdict,
     Violation,
     evaluate,
     execute_round,
     judge,
-    JudgeContext,
     process_probe_runner,
     run_benchmark,
     run_profilers,
@@ -30,7 +30,7 @@ from forgeloop.ledger import LedgerWriter, read_ledger
 from forgeloop.mcp import ToolServer
 from forgeloop.policy import IssueTrackerPolicy, RoundDirective
 from forgeloop.runner import stub_harness_provider
-from forgeloop.workspace import init_workspace, verify_mounts
+from forgeloop.workspace import commit_checkpoint, init_workspace, verify_mounts
 
 import toy
 
@@ -161,9 +161,8 @@ def write_candidate(ws, source):
 
 
 def judge_once(ws, contract, tmp_path):
-    provider = empty_provider(tmp_path)
-    ctx = JudgeContext(harness=provider(AgentRole.JUDGE, 0, 1))
-    return judge(ws, directive_for(), contract, ctx, round_index=0, attempt=1)
+    agents = Agents(empty_provider(tmp_path))
+    return judge(ws, directive_for(), contract, agents, round_index=0, attempt=1)
 
 
 def test_judge_passes_correct_candidate(toy_workspace, toy_contract, tmp_path):
@@ -212,13 +211,9 @@ def test_judge_agent_review_appends_after_scan_flag(toy_workspace, toy_contract,
     sock = str(tmp_path / "j2.sock")
     server.serve(sock)
     try:
-        ctx = JudgeContext(
-            harness=stub_harness_provider(scripts, 30)(AgentRole.JUDGE, 0, 1),
-            server=server,
-            endpoint=sock,
-        )
+        agents = Agents(stub_harness_provider(scripts, 30), server=server)
         verdict, invocation, _ = judge(
-            toy_workspace, directive_for(), toy_contract, ctx, round_index=0, attempt=1
+            toy_workspace, directive_for(), toy_contract, agents, round_index=0, attempt=1
         )
     finally:
         server.shutdown()
@@ -253,11 +248,8 @@ def test_judge_agent_can_add_but_not_clear_violations(toy_workspace, toy_contrac
     sock = str(tmp_path / "j.sock")
     server.serve(sock)
     try:
-        ctx = JudgeContext(
-            harness=provider(AgentRole.JUDGE, 0, 1), server=server, endpoint=sock
-        )
         verdict, _, _ = judge(
-            toy_workspace, directive_for(), toy_contract, ctx, round_index=0, attempt=1
+            toy_workspace, directive_for(), toy_contract, Agents(provider, server=server), round_index=0, attempt=1
         )
     finally:
         server.shutdown()
@@ -313,12 +305,7 @@ def test_evaluate_collects_hints_and_profiler_output(toy_workspace, toy_contract
     provider = stub_harness_provider(scripts, timeout_s=30)
     try:
         report, hints, invocation = evaluate(
-            toy_workspace,
-            contract,
-            provider(AgentRole.EVALUATOR, 0, 1),
-            server=server,
-            endpoint=sock,
-            allowed_tools=("record_finding",),
+            toy_workspace, contract, Agents(provider, server=server, allowed_tools=lambda role: ("record_finding",))
         )
     finally:
         server.shutdown()
@@ -333,19 +320,32 @@ def test_evaluate_collects_hints_and_profiler_output(toy_workspace, toy_contract
 # -- execute_round end to end ----------------------------------------------------
 
 
-def round_setup(toy_workspace, tmp_path, retry_budget=2):
-    policy = IssueTrackerPolicy(toy_workspace, revert_fn=lambda cp, r: None)
+def run_round(ws, contract, tmp_path, scripts, directive=None):
+    """Round 0 of ``contract`` over ``ws`` (the issue tracker's bootstrap
+    directive unless one is given), with a served tool socket and a ledger
+    at ``tmp_path / "ledger.jsonl"``; returns the policy and the result."""
+    policy = IssueTrackerPolicy(ws, revert_fn=lambda cp, r: None)
+    directive = directive or policy.begin_round(0)
     server = ToolServer(list(policy.toolset()))
-    sock = str(tmp_path / "r.sock")
-    server.serve(sock)
+    server.serve(str(tmp_path / "r.sock"))
     ledger = LedgerWriter(tmp_path / "ledger.jsonl")
-    directive = policy.begin_round(0)
-    task = RoundTask(directive=directive, round=0, retry_budget=retry_budget)
-    return policy, server, sock, ledger, task
+    agents = Agents(
+        stub_harness_provider(scripts, 30), server=server, ledger=ledger, allowed_tools=policy.allowed_tools
+    )
+    try:
+        return policy, execute_round(directive, 0, ws, contract, agents)
+    finally:
+        server.shutdown()
+        ledger.close()
 
 
-def roles_of(invocations):
-    return [inv.role.value for inv in invocations]
+def with_retries(contract, retry_budget):
+    return dataclasses.replace(contract, budgets=dataclasses.replace(contract.budgets, retry_budget=retry_budget))
+
+
+def roles_in(ledger_path):
+    """The roles of the ledger's ``invocation`` events, in order."""
+    return [e.payload["role"] for e in read_ledger(ledger_path) if e.kind == "invocation"]
 
 
 def test_round_retry_then_validate(toy_workspace, toy_contract, tmp_path):
@@ -359,25 +359,11 @@ def test_round_retry_then_validate(toy_workspace, toy_contract, tmp_path):
         scripts / "implementer_r0_a2.jsonl",
         [{"step": "apply_patch", "patch": toy.modify_diff("candidate/run", toy.V_WRONG, toy.V0)}],
     )
-    policy, server, sock, ledger, task = round_setup(toy_workspace, tmp_path)
-    try:
-        result = execute_round(
-            task,
-            toy_workspace,
-            toy_contract,
-            stub_harness_provider(scripts, 30),
-            server=server,
-            endpoint=sock,
-            ledger=ledger,
-            allowed_tools=policy.allowed_tools,
-        )
-    finally:
-        server.shutdown()
-        ledger.close()
+    policy, result = run_round(toy_workspace, toy_contract, tmp_path, scripts)
 
     assert result.status is RoundStatus.VALIDATED
     assert result.commit is not None and result.metric is not None
-    assert roles_of(result.invocations) == [
+    assert roles_in(tmp_path / "ledger.jsonl") == [
         "Implementer", "Judge", "Implementer", "Judge", "Evaluator",
     ]
     assert toy_workspace.head == result.commit.commit
@@ -391,6 +377,24 @@ def test_round_retry_then_validate(toy_workspace, toy_contract, tmp_path):
     detail = attempt1_verdicts[0].payload["violations"][0]["detail"]
     prompt2 = (toy_workspace.root / ".prompts" / "implementer-r0-a2.md").read_text()
     assert detail in prompt2
+
+
+def test_round_start_positioning_revert_carries_tree_digest(toy_workspace, toy_contract, tmp_path):
+    # Every revert event, the round-start one included, names the commit,
+    # the reason and the tree it restored.
+    ws = toy_workspace
+    write_candidate(ws, toy.candidate_source(0.0))
+    earlier = commit_checkpoint(ws, 0, MetricReport(1.0, "tok_per_s", True), Verdict(violations=()))
+    (ws.candidate_root / "later.txt").write_text("later\n")
+    commit_checkpoint(ws, 1, MetricReport(2.0, "tok_per_s", True), Verdict(violations=()))
+    directive = RoundDirective(start=earlier, task_text="improve it", pass_criteria=())
+    run_round(ws, with_retries(toy_contract, 1), tmp_path, tmp_path / "no-scripts", directive)
+
+    reverts = [e for e in read_ledger(tmp_path / "ledger.jsonl") if e.kind == "revert"]
+    assert [e.payload for e in reverts] == [
+        {"to_commit": earlier.commit, "reason": "round start positioning", "tree_digest": earlier.tree_digest}
+    ]
+    assert not (ws.candidate_root / "later.txt").exists()
 
 
 def test_hanging_profiler_is_a_note_not_a_crash(toy_workspace, toy_contract, tmp_path):
@@ -407,21 +411,7 @@ def test_hanging_profiler_is_a_note_not_a_crash(toy_workspace, toy_contract, tmp
         scripts / "implementer_r0_a1.jsonl",
         [{"step": "apply_patch", "patch": toy.new_file_diff("candidate/run", toy.V0)}],
     )
-    policy, server, sock, ledger, task = round_setup(toy_workspace, tmp_path)
-    try:
-        result = execute_round(
-            task,
-            toy_workspace,
-            contract,
-            stub_harness_provider(scripts, 30),
-            server=server,
-            endpoint=sock,
-            ledger=ledger,
-            allowed_tools=policy.allowed_tools,
-        )
-    finally:
-        server.shutdown()
-        ledger.close()
+    policy, result = run_round(toy_workspace, contract, tmp_path, scripts)
 
     assert result.status is RoundStatus.VALIDATED
     assert toy_workspace.head == result.commit.commit
@@ -477,21 +467,7 @@ def test_hanging_benchmark_is_an_error_round_and_leaves_no_survivor(toy_contract
         scripts / "implementer_r0_a1.jsonl",
         [{"step": "apply_patch", "patch": toy.new_file_diff("candidate/run", toy.candidate_source(0.0))}],
     )
-    policy, server, sock, ledger, task = round_setup(ws, tmp_path)
-    try:
-        result = execute_round(
-            task,
-            ws,
-            contract,
-            stub_harness_provider(scripts, 30),
-            server=server,
-            endpoint=sock,
-            ledger=ledger,
-            allowed_tools=policy.allowed_tools,
-        )
-    finally:
-        server.shutdown()
-        ledger.close()
+    policy, result = run_round(ws, contract, tmp_path, scripts)
     assert result.status is RoundStatus.ERROR
     assert "benchmark did not run" in result.feedback[0]
     assert_gone(pid_file)
@@ -525,28 +501,14 @@ def test_round_budget_exhaustion(toy_workspace, toy_contract, tmp_path):
         scripts / "implementer_r0_a1.jsonl",
         [{"step": "apply_patch", "patch": toy.new_file_diff("candidate/run", toy.V_WRONG)}],
     )
-    policy, server, sock, ledger, task = round_setup(toy_workspace, tmp_path, retry_budget=3)
     head_before = toy_workspace.head
-    try:
-        result = execute_round(
-            task,
-            toy_workspace,
-            toy_contract,
-            stub_harness_provider(scripts, 30),
-            server=server,
-            endpoint=sock,
-            ledger=ledger,
-            allowed_tools=policy.allowed_tools,
-        )
-    finally:
-        server.shutdown()
-        ledger.close()
+    policy, result = run_round(toy_workspace, with_retries(toy_contract, 3), tmp_path, scripts)
 
     assert result.status is RoundStatus.FAILED_BUDGET
     assert result.commit is None
-    implementer_count = sum(1 for inv in result.invocations if inv.role is AgentRole.IMPLEMENTER)
-    assert implementer_count == 3  # exactly the retry budget
-    assert not any(inv.role is AgentRole.EVALUATOR for inv in result.invocations)
+    roles = roles_in(tmp_path / "ledger.jsonl")
+    assert roles.count("Implementer") == 3  # exactly the retry budget
+    assert "Evaluator" not in roles
     assert result.feedback  # accumulated judge details
     assert toy_workspace.head == head_before
     # The failed round's edits were discarded.
@@ -556,28 +518,14 @@ def test_round_budget_exhaustion(toy_workspace, toy_contract, tmp_path):
 def test_round_tamper_is_error_with_restored_mounts(toy_workspace, toy_contract, tmp_path):
     scripts = tmp_path / "scripts"
     toy.write_tamper_script(scripts, toy.checker_source())
-    policy, server, sock, ledger, task = round_setup(toy_workspace, tmp_path)
     head_before = toy_workspace.head
-    try:
-        result = execute_round(
-            task,
-            toy_workspace,
-            toy_contract,
-            stub_harness_provider(scripts, 30),
-            server=server,
-            endpoint=sock,
-            ledger=ledger,
-            allowed_tools=policy.allowed_tools,
-        )
-    finally:
-        server.shutdown()
-        ledger.close()
+    policy, result = run_round(toy_workspace, toy_contract, tmp_path, scripts)
 
     assert result.status is RoundStatus.ERROR
     assert any("artifacts/checker" in f for f in result.feedback)
     assert toy_workspace.head == head_before
     assert verify_mounts(toy_workspace).intact  # restored after detection
-    assert not any(inv.role is AgentRole.EVALUATOR for inv in result.invocations)
+    assert "Evaluator" not in roles_in(tmp_path / "ledger.jsonl")
 
 
 def test_round_collects_filed_issues(toy_workspace, toy_contract, tmp_path):
@@ -599,23 +547,9 @@ def test_round_collects_filed_issues(toy_workspace, toy_contract, tmp_path):
             },
         ],
     )
-    policy, server, sock, ledger, task = round_setup(toy_workspace, tmp_path)
-    try:
-        result = execute_round(
-            task,
-            toy_workspace,
-            toy_contract,
-            stub_harness_provider(scripts, 30),
-            server=server,
-            endpoint=sock,
-            ledger=ledger,
-            allowed_tools=policy.allowed_tools,
-        )
-    finally:
-        server.shutdown()
-        ledger.close()
+    policy, result = run_round(toy_workspace, toy_contract, tmp_path, scripts)
     assert result.status is RoundStatus.VALIDATED
-    assert result.filed_issues == (2,)  # id 1 is the bootstrap issue
+    assert sorted(policy.issues) == [1, 2]  # id 1 is the bootstrap issue
     assert policy.issues[2].title == "follow-up"
 
 
@@ -636,16 +570,10 @@ def test_tool_calls_recorded_with_round_and_role(toy_workspace, toy_contract, tm
     server.serve(sock)
     directive = policy.begin_round(0)
     try:
-        execute_round(
-            RoundTask(directive=directive, round=0, retry_budget=1),
-            toy_workspace,
-            toy_contract,
-            stub_harness_provider(scripts, 30),
-            server=server,
-            endpoint=sock,
-            ledger=ledger,
-            allowed_tools=policy.allowed_tools,
+        agents = Agents(
+            stub_harness_provider(scripts, 30), server=server, ledger=ledger, allowed_tools=policy.allowed_tools
         )
+        execute_round(directive, 0, toy_workspace, with_retries(toy_contract, 1), agents)
     finally:
         server.shutdown()
         ledger.close()

@@ -325,9 +325,7 @@ def test_agent_mode_selection_via_tool(toy_workspace):
         eligible = [i for i in policy.issues.values() if i.status == "open"]
         policy.select_issue_tool(ctx("Orchestrator", round_index), {"issue_id": eligible[-1].id})
 
-    policy = IssueTrackerPolicy(
-        toy_workspace, stub_mode=False, orchestrator_invoker=orchestrate, seed_task=False
-    )
+    policy = IssueTrackerPolicy(toy_workspace, orchestrator_invoker=orchestrate, seed_task=False)
     file_issue(policy, "first", "high")
     second = file_issue(policy, "second", "low")
     directive = policy.begin_round(0)

@@ -1,6 +1,8 @@
 """Every child the loop starts goes through ``harness.run_bounded``, which
 bounds it by a deadline and kills its whole process tree; git keeps its own
-two call sites. A new ad-hoc spawn site must fail this suite."""
+two call sites. Every agent turn goes through ``innerloop.Agents.turn``, the
+one caller of ``harness.invoke_agent``. A new ad-hoc spawn site or agent
+call site must fail this suite."""
 
 import ast
 from pathlib import Path
@@ -20,29 +22,54 @@ ALLOWED = {
 }
 
 
-def spawn_sites(path: Path):
-    """(file, enclosing qualified name) of each subprocess call in ``path``."""
-    sites = []
+AGENT_TURN = ("innerloop.py", "Agents.turn")
+
+
+def scoped_nodes(path: Path):
+    """Each AST node of ``path`` with the qualified name of its enclosing
+    function or class (``<module>`` at top level)."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + [child.name])
+                yield from visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.ImportFrom) and child.module in SPAWNERS:
-                names = SPAWNERS[child.module] | {"*"}
-                sites.extend((path.name, f"from {child.module} import {a.name}")
-                             for a in child.names if a.name in names)
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and isinstance(child.func.value, ast.Name)
-                and child.func.attr in SPAWNERS.get(child.func.value.id, ())
-            ):
-                sites.append((path.name, ".".join(scope) or "<module>"))
-            visit(child, scope)
+            yield ".".join(scope) or "<module>", child
+            yield from visit(child, scope)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return visit(ast.parse(path.read_text(encoding="utf-8")), [])
+
+
+def spawn_sites(path: Path):
+    """(file, enclosing qualified name) of each subprocess call in ``path``."""
+    sites = []
+    for scope, node in scoped_nodes(path):
+        if isinstance(node, ast.ImportFrom) and node.module in SPAWNERS:
+            names = SPAWNERS[node.module] | {"*"}
+            sites.extend((path.name, f"from {node.module} import {a.name}")
+                         for a in node.names if a.name in names)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.attr in SPAWNERS.get(node.func.value.id, ())
+        ):
+            sites.append((path.name, scope))
+    return sites
+
+
+def agent_call_sites(path: Path):
+    """(file, enclosing qualified name) of each call to ``invoke_agent`` in
+    ``path``, by name or as an attribute, and of each import that renames it."""
+    sites = []
+    for scope, node in scoped_nodes(path):
+        if isinstance(node, ast.ImportFrom):
+            sites.extend((path.name, f"import invoke_agent as {a.asname}")
+                         for a in node.names if a.name == "invoke_agent" and a.asname)
+        if isinstance(node, ast.Call) and "invoke_agent" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            sites.append((path.name, scope))
     return sites
 
 
@@ -66,4 +93,27 @@ def test_the_walk_catches_an_ad_hoc_spawn(tmp_path):
         ("rogue.py", "from subprocess import check_output"),
         ("rogue.py", "<module>"),
         ("rogue.py", "Gate.run"),
+    }
+
+
+def test_agents_are_invoked_only_through_agents_turn():
+    found = [site for path in sorted(SRC.rglob("*.py")) for site in agent_call_sites(path)]
+    assert found == [AGENT_TURN]
+
+
+def test_the_walk_catches_an_ad_hoc_agent_call(tmp_path):
+    rogue = tmp_path / "rogue.py"
+    rogue.write_text(
+        "from forgeloop import harness\n"
+        "from forgeloop.harness import invoke_agent, invoke_agent as spawn\n"
+        "def orchestrate(cfg, bundle, root):\n"
+        "    return invoke_agent(cfg, bundle, root, 0)\n"
+        "class Judge:\n"
+        "    def review(self, cfg, bundle, root):\n"
+        "        return harness.invoke_agent(cfg, bundle, root, 0)\n"
+    )
+    assert set(agent_call_sites(rogue)) == {
+        ("rogue.py", "import invoke_agent as spawn"),
+        ("rogue.py", "orchestrate"),
+        ("rogue.py", "Judge.review"),
     }

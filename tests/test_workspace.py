@@ -1,5 +1,6 @@
 """Workspace: mounts, checkpoints, reverts, tamper detection, diffs."""
 
+import dataclasses
 import os
 import random
 import stat
@@ -8,7 +9,7 @@ import subprocess
 import pytest
 
 from forgeloop.gates.metrics import MetricReport
-from forgeloop.innerloop import RoundStatus, RoundTask, execute_round
+from forgeloop.innerloop import Agents, RoundStatus, execute_round
 from forgeloop.mcp import ToolServer
 from forgeloop.policy import IssueTrackerPolicy
 from forgeloop.runner import stub_harness_provider
@@ -305,9 +306,10 @@ def test_validated_round_git_calls(toy_workspace, toy_contract, tmp_path, monkey
     )
     policy = IssueTrackerPolicy(toy_workspace, revert_fn=lambda cp, r: None)
     server = ToolServer(list(policy.served_toolset()))
-    sock = str(tmp_path / "g.sock")
-    server.serve(sock)
-    task = RoundTask(directive=policy.begin_round(0), round=0, retry_budget=1)
+    server.serve(str(tmp_path / "g.sock"))
+    directive = policy.begin_round(0)
+    contract = dataclasses.replace(toy_contract, budgets=dataclasses.replace(toy_contract.budgets, retry_budget=1))
+    agents = Agents(stub_harness_provider(scripts, 30), server=server, allowed_tools=policy.allowed_tools)
 
     calls = []
     original = Workspace._git
@@ -318,15 +320,7 @@ def test_validated_round_git_calls(toy_workspace, toy_contract, tmp_path, monkey
 
     monkeypatch.setattr(Workspace, "_git", counting)
     try:
-        result = execute_round(
-            task,
-            toy_workspace,
-            toy_contract,
-            stub_harness_provider(scripts, 30),
-            server=server,
-            endpoint=sock,
-            allowed_tools=policy.allowed_tools,
-        )
+        result = execute_round(directive, 0, toy_workspace, contract, agents)
     finally:
         server.shutdown()
     assert result.status is RoundStatus.VALIDATED
