@@ -46,8 +46,8 @@ def _positive_speed(raw: str) -> float:
 
 
 def cmd_run(args) -> int:
-    # Each subcommand imports what only it needs (here the loop's modules,
-    # jsonschema and yaml), so the read-only ones start fast.
+    # Each subcommand imports what only it needs (here the loop's modules
+    # and yaml for the skills' front matter), so the read-only ones start fast.
     from forgeloop.runner import DEFAULT_TASK, run_target
 
     try:

@@ -7,6 +7,15 @@ socket with newline-delimited JSON framing. Arguments are schema-validated
 before any handler runs; schema failures return error -32602 and unknown
 methods or tools return -32601.
 
+Input schemas use a small JSON-Schema (Draft 2020-12) subset, checked by
+the code below rather than a schema library: ``type`` (object, array,
+string, integer, number, boolean), ``properties``, ``required``,
+``additionalProperties: false``, ``items``, ``enum``, ``minLength`` and
+``minItems``, with ``description`` as an annotation. A toolset using any
+other keyword is rejected when the server is built, so no constraint is
+silently ignored. A failing call reports its first error by JSON path, in
+jsonschema's wording.
+
 One extension method exists beyond the protocol core: ``result/emit``
 carries an agent's final structured result. Keeping it on the same channel
 means stdout is never parsed for semantics.
@@ -24,8 +33,6 @@ import socketserver
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
-
-import jsonschema
 
 from forgeloop.errors import ForgeloopError
 
@@ -52,6 +59,10 @@ class HandlerError(McpError):
 
 class InvalidToolset(McpError):
     pass
+
+
+class InvalidParams(McpError):
+    """A call's arguments fail its tool's input schema."""
 
 
 @dataclass(frozen=True)
@@ -87,25 +98,123 @@ class ToolResult:
     error: Optional[str] = None
 
 
+_TYPES: dict[str, Callable[[object], bool]] = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    # Draft 2020-12: a bool is not a number, and 1.0 is an integer.
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+}
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+# The supported keywords, each with the values it may take.
+_KEYWORDS: dict[str, Callable[[object], bool]] = {
+    "type": lambda v: isinstance(v, str) and v in _TYPES,
+    "properties": lambda v: isinstance(v, dict),
+    "required": lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+    "additionalProperties": lambda v: v is False,
+    "items": lambda v: True,  # a schema, checked below
+    "enum": lambda v: isinstance(v, list) and bool(v) and all(isinstance(x, _SCALARS) for x in v),
+    "minLength": _is_count,
+    "minItems": _is_count,
+    "description": lambda v: isinstance(v, str),
+}
+
+
+def _check_schema(schema, where: str = "schema") -> None:
+    """Raise InvalidToolset unless ``schema`` keeps to the supported subset."""
+    if not isinstance(schema, dict):
+        raise InvalidToolset(f"{where} is not an object")
+    for key, value in schema.items():
+        if key not in _KEYWORDS:
+            raise InvalidToolset(f"{where} uses an unsupported keyword: {key}")
+        if not _KEYWORDS[key](value):
+            raise InvalidToolset(f"{where}.{key} may not be {value!r}")
+    for name, sub in schema.get("properties", {}).items():
+        _check_schema(sub, f"{where}.properties.{name}")
+    if "items" in schema:
+        _check_schema(schema["items"], f"{where}.items")
+
+
+def _too_short(instance, minimum: int) -> str:
+    return f"{instance!r} {'should be non-empty' if minimum == 1 else 'is too short'}"
+
+
+def _errors(schema: dict, instance, path: str):
+    """Yield (JSON path, message) per violation, in jsonschema's order:
+    keywords in schema order, properties in schema order."""
+    for key, value in schema.items():
+        if key == "type":
+            if not _TYPES[value](instance):
+                yield path, f"{instance!r} is not of type {value!r}"
+        elif key == "enum":
+            # JSON's true is not the number 1, though 1.0 is.
+            is_bool = isinstance(instance, bool)
+            if not any(v == instance and isinstance(v, bool) == is_bool for v in value):
+                yield path, f"{instance!r} is not one of {value!r}"
+        elif key == "minLength":
+            if isinstance(instance, str) and len(instance) < value:
+                yield path, _too_short(instance, value)
+        elif key == "minItems":
+            if isinstance(instance, list) and len(instance) < value:
+                yield path, _too_short(instance, value)
+        elif key == "items":
+            if isinstance(instance, list):
+                for i, item in enumerate(instance):
+                    yield from _errors(value, item, f"{path}[{i}]")
+        elif not isinstance(instance, dict):
+            continue
+        elif key == "properties":
+            for name, sub in value.items():
+                if name in instance:
+                    yield from _errors(sub, instance[name], f"{path}.{name}")
+        elif key == "required":
+            for name in value:
+                if name not in instance:
+                    yield path, f"{name!r} is a required property"
+        elif key == "additionalProperties":
+            known = schema.get("properties", {})
+            extras = sorted((k for k in instance if k not in known), key=str)
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, (f"Additional properties are not allowed "
+                             f"({', '.join(repr(k) for k in extras)} {verb} unexpected)")
+
+
+def first_error(schema: dict, instance) -> Optional[str]:
+    """The message of the first violation by JSON path, or None if valid.
+
+    ``schema`` must keep to the supported subset (see ``validate_toolset``)."""
+    found = min(_errors(schema, instance, "$"), key=lambda e: e[0], default=None)
+    return None if found is None else found[1]
+
+
 def validate_toolset(tools: list[ToolSpec]) -> None:
     names = [t.name for t in tools]
     if len(set(names)) != len(names):
         raise InvalidToolset(f"duplicate tool names: {names}")
     for t in tools:
         try:
-            jsonschema.Draft202012Validator.check_schema(t.input_schema)
-        except jsonschema.SchemaError as exc:
+            _check_schema(t.input_schema)
+        except InvalidToolset as exc:
             raise InvalidToolset(f"tool {t.name} has an invalid input schema: {exc}") from None
 
 
 def handle_call(toolset: dict[str, ToolSpec], call: ToolCall, ctx: SessionContext) -> ToolResult:
     """Validate against the tool's schema, then dispatch; the handler never
-    runs on a call that failed validation."""
+    runs on a call that failed validation (InvalidParams)."""
     spec = toolset[call.tool]
-    validator = jsonschema.Draft202012Validator(spec.input_schema)
-    errors = sorted(validator.iter_errors(call.arguments), key=lambda e: e.json_path)
-    if errors:
-        raise jsonschema.ValidationError(errors[0].message)
+    error = first_error(spec.input_schema, call.arguments)
+    if error is not None:
+        raise InvalidParams(error)
     try:
         payload = spec.handler(ctx, call.arguments)
     except HandlerError as exc:
@@ -231,9 +340,9 @@ class ToolServer:
             else:
                 try:
                     tool_result = handle_call(visible, ToolCall(name, arguments, req_id), ctx)
-                except jsonschema.ValidationError as exc:
-                    self._record_tool_event(session, name, ok=False, error=f"invalid params: {exc.message}")
-                    return error(INVALID_PARAMS, f"invalid params for {name}: {exc.message}")
+                except InvalidParams as exc:
+                    self._record_tool_event(session, name, ok=False, error=f"invalid params: {exc}")
+                    return error(INVALID_PARAMS, f"invalid params for {name}: {exc}")
             if session is not None:
                 session.tool_log.append(
                     ToolLogEntry(

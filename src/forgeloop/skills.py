@@ -20,6 +20,10 @@ import yaml
 
 from forgeloop.errors import ForgeloopError
 
+# libyaml's loader reads the bundled library's front matter in about a
+# quarter of the pure-Python loader's time; both build the same safe types.
+_FRONTMATTER_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 LAYERS = (
     "model_architecture",
     "serving_algorithm",
@@ -95,7 +99,7 @@ def _parse_skill_md(path: Path, layer: str) -> SkillEntry:
     raw_front = text[4:end + 1]
     body = text[end + 5 :].lstrip("\n")
     try:
-        front = yaml.safe_load(raw_front)
+        front = yaml.load(raw_front, Loader=_FRONTMATTER_LOADER)
     except yaml.YAMLError as exc:
         raise MalformedFrontmatter(path, f"frontmatter is not valid YAML: {exc}") from None
     if not isinstance(front, dict):

@@ -206,8 +206,12 @@ def init_workspace(contract, root: str | Path) -> Workspace:
         raise WorkspaceError(f"workspace root is not empty: {root}")
     root.mkdir(parents=True, exist_ok=True)
 
+    # An empty template skips copying git's sample hooks and info/ into every
+    # workspace; it also keeps a user's template hooks off checkpoint commits.
     proc = subprocess.run(
-        ["git", "init", "-q", "-b", "main", str(root)], capture_output=True, text=True
+        ["git", "init", "-q", "-b", "main", "--template=", str(root)],
+        capture_output=True,
+        text=True,
     )
     if proc.returncode != 0:
         raise RepoInitFailed(proc.stderr.strip())

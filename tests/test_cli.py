@@ -218,8 +218,8 @@ def test_loadgen_prints_deterministic_schedule(tmp_path, capsys):
 
 def test_read_only_subcommands_stay_light(tmp_path):
     # status/report/replay need only the ledger: numpy (image gate), the
-    # tool server's jsonschema, the skills' yaml and the runner stay unloaded,
-    # and the policy module does not pull numpy in through the gates package.
+    # skills' yaml, jsonschema and the runner stay unloaded, and the policy
+    # module does not pull numpy in through the gates package.
     from forgeloop.ledger import LedgerWriter
 
     ledger = tmp_path / "ledger.jsonl"

@@ -2,6 +2,9 @@
 sessions, and the socket transport."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,10 +16,11 @@ from forgeloop.mcp import (
     ToolCall,
     ToolServer,
     ToolSpec,
+    first_error,
     handle_call,
     validate_toolset,
 )
-from forgeloop.policy import IssueTrackerPolicy
+from forgeloop.policy import EvolutionaryPolicy, IssueTrackerPolicy, RalphPolicy
 from forgeloop.stubagent import _Client
 
 GOLDEN = Path(__file__).parent / "golden" / "mcp_transcript.json"
@@ -320,3 +324,173 @@ def test_serve_shutdown_cycles_leave_no_threads(tmp_path):
         server.serve(str(tmp_path / f"c{i}.sock"))
         server.shutdown()
     assert set(threading.enumerate()) <= before
+
+
+# -- the built-in JSON-Schema subset check ------------------------------------------
+
+OBJ = {
+    "type": "object",
+    "properties": {"n": {"type": "integer"}, "s": {"type": "string", "minLength": 2}},
+    "required": ["n"],
+    "additionalProperties": False,
+}
+
+
+@pytest.mark.parametrize(
+    "schema, instance, error",
+    [
+        ({"type": "object"}, {}, None),
+        ({"type": "object"}, [], "[] is not of type 'object'"),
+        ({"type": "array"}, [1], None),
+        ({"type": "array"}, {}, "{} is not of type 'array'"),
+        ({"type": "string"}, "x", None),
+        ({"type": "string"}, 1, "1 is not of type 'string'"),
+        ({"type": "integer"}, 3, None),
+        ({"type": "integer"}, 1.0, None),
+        ({"type": "integer"}, 1.5, "1.5 is not of type 'integer'"),
+        ({"type": "integer"}, True, "True is not of type 'integer'"),
+        ({"type": "number"}, 2.5, None),
+        ({"type": "number"}, False, "False is not of type 'number'"),
+        ({"type": "boolean"}, True, None),
+        ({"type": "boolean"}, 0, "0 is not of type 'boolean'"),
+        (OBJ, {"n": 1, "s": "ab"}, None),
+        (OBJ, {"n": "1"}, "'1' is not of type 'integer'"),
+        (OBJ, {"s": "ab"}, "'n' is a required property"),
+        (OBJ, {"n": 1, "x": 0}, "Additional properties are not allowed ('x' was unexpected)"),
+        (OBJ, {"n": 1, "y": 0, "x": 0}, "Additional properties are not allowed ('x', 'y' were unexpected)"),
+        (OBJ, {"n": 1, "s": "a"}, "'a' is too short"),
+        ({"type": "string", "minLength": 1}, "", "'' should be non-empty"),
+        ({"type": "array", "items": {"type": "integer"}}, [1, 2], None),
+        ({"type": "array", "items": {"type": "integer"}}, [1, "2"], "'2' is not of type 'integer'"),
+        ({"type": "array", "minItems": 1}, [], "[] should be non-empty"),
+        ({"type": "array", "minItems": 2}, [1], "[1] is too short"),
+        ({"enum": ["a", 1]}, "a", None),
+        ({"enum": ["a", 1]}, 1.0, None),
+        ({"enum": ["a", 1]}, True, "True is not one of ['a', 1]"),
+        ({"enum": ["a", 1]}, "b", "'b' is not one of ['a', 1]"),
+        ({"type": "string", "description": "free text"}, "x", None),
+    ],
+)
+def test_schema_keywords_accept_and_reject(schema, instance, error):
+    validate_toolset([ToolSpec("t", "d", schema, lambda ctx, args: {})])
+    assert first_error(schema, instance) == error
+
+
+def test_first_error_is_the_first_by_json_path():
+    # The root's missing property sorts before the nested type error, and
+    # among errors at one path the keyword order of the schema decides.
+    assert first_error(OBJ, {"s": 5}) == "'n' is a required property"
+    assert first_error(OBJ, {"n": 1, "s": 5}) == "5 is not of type 'string'"
+    schema = {"type": "string", "enum": ["ab"], "minLength": 2}
+    assert first_error(schema, 3) == "3 is not of type 'string'"
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "string", "pattern": "^a"},
+        {"type": "object", "properties": {"x": {"type": "string", "format": "email"}}},
+        {"type": "array", "items": {"maxLength": 3}},
+        {"type": "null"},
+        {"type": ["string", "integer"]},
+        {"type": "object", "additionalProperties": True},
+        {"type": "object", "additionalProperties": {"type": "string"}},
+        {"type": "object", "required": "x"},
+        {"enum": []},
+        {"enum": [["a"]]},
+        {"type": "string", "minLength": -1},
+        {"type": "array", "minItems": True},
+        {"$ref": "#/defs/x"},
+    ],
+)
+def test_unsupported_schema_is_refused_at_construction(schema):
+    spec = ToolSpec("t", "d", schema, lambda ctx, args: {})
+    with pytest.raises(InvalidToolset):
+        validate_toolset([spec])
+    with pytest.raises(InvalidToolset):
+        ToolServer([spec])
+
+
+def test_every_builtin_toolset_passes_the_check(toy_workspace):
+    for policy in (
+        IssueTrackerPolicy(toy_workspace, seed_task=False),
+        EvolutionaryPolicy(toy_workspace, seed_task="speed it up"),
+        RalphPolicy(toy_workspace, task_text="speed it up"),
+    ):
+        validate_toolset(list(policy.served_toolset()))
+
+
+ARGUMENT_CORPUS = [
+    {},
+    [],
+    "text",
+    None,
+    7,
+    {"text": "a finding"},
+    {"text": ""},
+    {"text": 5},
+    {"text": "x", "extra": 1},
+    {"text": "x", "b": 1, "a": 2},
+    {"issue_id": 3},
+    {"issue_id": True},
+    {"issue_id": 1.0},
+    {"issue_id": 1.5},
+    {"issue_id": "3"},
+    {"issue_id": 3, "status": "done"},
+    {"issue_id": 3, "status": "finished"},
+    {"issue_id": 3, "status": None},
+    {"status": "open"},
+    {"issue_id": "x", "status": "nope", "more": []},
+    {
+        "title": "t",
+        "rationale": "r",
+        "acceptance_criteria": ["c"],
+        "expected_impact": "high",
+    },
+    {
+        "title": "",
+        "rationale": "r",
+        "acceptance_criteria": [],
+        "expected_impact": "huge",
+    },
+    {
+        "title": "t",
+        "rationale": 1,
+        "acceptance_criteria": ["c", 2],
+        "expected_impact": "low",
+        "depends_on": [1, True, "2", 3.0],
+    },
+    {"title": "t", "acceptance_criteria": "c", "depends_on": {}},
+    {"rationale": "r", "expected_impact": "medium", "surprise": True},
+    {"title": None, "rationale": None, "acceptance_criteria": None, "expected_impact": None},
+]
+
+
+def test_check_agrees_with_jsonschema(toy_workspace):
+    jsonschema = pytest.importorskip("jsonschema")
+    tools = IssueTrackerPolicy(toy_workspace, seed_task=False).served_toolset()
+    assert len(tools) == 4
+    for tool in tools:
+        jsonschema.Draft202012Validator.check_schema(tool.input_schema)
+        validator = jsonschema.Draft202012Validator(tool.input_schema)
+        for arguments in ARGUMENT_CORPUS:
+            errors = sorted(validator.iter_errors(arguments), key=lambda e: e.json_path)
+            want = errors[0].message if errors else None
+            assert first_error(tool.input_schema, arguments) == want, (tool.name, arguments)
+
+
+def test_the_loop_does_not_load_jsonschema():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, forgeloop.runner\nassert 'jsonschema' not in sys.modules\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_jsonschema_is_not_a_dependency():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert "jsonschema" not in pyproject.read_text(encoding="utf-8")

@@ -153,3 +153,26 @@ def test_shipped_library_loads_every_layer_and_resolves():
         "hardware", "reference_engine", "tooling",
     }
     assert validate_library(lib) == []
+
+
+def test_front_matter_loaders_agree(monkeypatch, tmp_path):
+    # libyaml's loader is used when PyYAML has it; the pure-Python one is the
+    # fallback. Both give the same library and the same malformed-YAML error.
+    import yaml
+
+    from forgeloop import skills
+
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    assert skills._FRONTMATTER_LOADER is yaml.CSafeLoader
+    bad = tmp_path / "tooling" / "broken"
+    bad.mkdir(parents=True)
+    (bad / "SKILL.md").write_text("---\nname: [unclosed\ndescription: d\n---\nbody\n")
+    libraries = []
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        monkeypatch.setattr(skills, "_FRONTMATTER_LOADER", loader)
+        libraries.append(load_library(default_library_path()).entries)
+        with pytest.raises(MalformedFrontmatter, match="not valid YAML"):
+            load_library(tmp_path)
+    assert len(libraries[0]) == 13
+    assert libraries[0] == libraries[1]

@@ -56,6 +56,21 @@ def test_init_creates_manifest_with_three_digests(toy_workspace):
     assert (ws.root / ".git").is_dir()
 
 
+def test_init_copies_no_git_template(toy_contract, tmp_path, monkeypatch):
+    # Neither git's sample hooks nor a user's template hooks reach the
+    # workspace: a template pre-commit hook that refuses every commit would
+    # otherwise block the baseline and every checkpoint.
+    hooks = tmp_path / "template" / "hooks"
+    hooks.mkdir(parents=True)
+    (hooks / "pre-commit").write_text("#!/bin/sh\nexit 1\n")
+    (hooks / "pre-commit").chmod(0o755)
+    monkeypatch.setenv("GIT_TEMPLATE_DIR", str(tmp_path / "template"))
+    ws = init_workspace(toy_contract, tmp_path / "ws")
+    assert ws.head
+    hooks_dir = ws.root / ".git" / "hooks"
+    assert not hooks_dir.exists() or not any(hooks_dir.iterdir())
+
+
 def test_init_rejects_populated_root(toy_contract, tmp_path):
     root = tmp_path / "busy"
     root.mkdir()
