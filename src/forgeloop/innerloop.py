@@ -453,6 +453,15 @@ def evaluate(
 # -- the round engine --------------------------------------------------------
 
 
+def revert(ws: Workspace, cp: Checkpoint, reason: str, ledger, round_index: int) -> None:
+    """Move HEAD and the worktree back to ``cp``. Every revert of a run goes
+    through here, and this appends its one ``revert`` ledger event."""
+    revert_to(ws, cp)
+    if ledger is not None:
+        payload = {"to_commit": cp.commit, "reason": reason, "tree_digest": cp.tree_digest}
+        ledger.append("revert", round_index, payload)
+
+
 def execute_round(
     directive,
     round_index: int,
@@ -466,17 +475,7 @@ def execute_round(
     The Implementer gets ``contract.budgets.retry_budget`` attempts."""
     ledger = agents.ledger
     if directive.start is not None and ws.head != directive.start.commit:
-        revert_to(ws, directive.start)
-        if ledger is not None:
-            ledger.append(
-                "revert",
-                round_index,
-                {
-                    "to_commit": directive.start.commit,
-                    "reason": "round start positioning",
-                    "tree_digest": directive.start.tree_digest,
-                },
-            )
+        revert(ws, directive.start, "round start positioning", ledger, round_index)
 
     skills = tuple(retrieve(library, directive.task_text, 3)) if library is not None else ()
 

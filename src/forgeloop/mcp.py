@@ -282,8 +282,12 @@ class ToolServer:
             return self.tools
         return {n: t for n, t in self.tools.items() if n in session.allowed_tools}
 
-    def dispatch(self, request: dict) -> Optional[dict]:
-        """Handle one JSON-RPC request object; None for notifications."""
+    def dispatch(self, request: object) -> Optional[dict]:
+        """Handle one parsed JSON-RPC request; None for notifications. A
+        request that is not a JSON object (``None`` for an unparsable line)
+        gets a parse error with a null id."""
+        if not isinstance(request, dict):
+            return {"jsonrpc": "2.0", "id": None, "error": {"code": PARSE_ERROR, "message": "parse error"}}
         req_id = request.get("id")
         is_notification = "id" not in request
 
@@ -322,6 +326,8 @@ class ToolServer:
             return result({"tools": tools})
 
         if method == "tools/call":
+            if not isinstance(params, dict):
+                return error(INVALID_PARAMS, "tools/call params must be an object")
             name = params.get("name")
             arguments = params.get("arguments", {})
             if session is not None:
@@ -395,13 +401,8 @@ class ToolServer:
                     try:
                         request = json.loads(line)
                     except json.JSONDecodeError:
-                        response = {
-                            "jsonrpc": "2.0",
-                            "id": None,
-                            "error": {"code": PARSE_ERROR, "message": "parse error"},
-                        }
-                    else:
-                        response = dispatcher.dispatch(request)
+                        request = None
+                    response = dispatcher.dispatch(request)
                     if response is not None:
                         self.wfile.write((json.dumps(response, sort_keys=True) + "\n").encode())
                         self.wfile.flush()

@@ -1,10 +1,11 @@
 """Outer-loop planning over validated checkpoints.
 
 Three interchangeable policies share one base, ``Policy``: the per-round
-contract (begin_round / end_round) and two coordination mechanisms.
-Checkpoints are git commits, and the base keeps the best one, reverting to
-it when a validated round regresses; inner-loop agents talk back through
-the policy's tool schema, whose ``record_finding`` tool every policy serves.
+contract (begin_round / end_round) and the tool schema inner-loop agents talk
+back through, whose ``record_finding`` tool every policy serves. Policies only
+plan. Checkpoints are git commits; the runner keeps the best one under
+``BestTracker``'s noise-floor rule, reverts to it when a validated round
+regresses, and tells ``end_round`` whether the round was kept.
 
 * issue-tracker: a backlog of structured issues plus a long-term memory
   markdown file. Agents file issues over the tool contract; each round
@@ -27,7 +28,7 @@ from forgeloop.gates.rng import DeterministicRng
 from forgeloop.harness import AgentRole
 from forgeloop.innerloop import RoundResult, RoundStatus
 from forgeloop.mcp import HandlerError, SessionContext, ToolSpec
-from forgeloop.workspace import Checkpoint, Workspace, revert_to
+from forgeloop.workspace import Checkpoint, Workspace
 
 
 class PolicyError(ForgeloopError):
@@ -201,27 +202,17 @@ class RoundDirective:
 BOOTSTRAP_TITLE = "bootstrap: produce a minimal correct serving system"
 DEFAULT_CRITERIA = ("the candidate passes the accuracy checker",)
 
-# A revert hook receives (checkpoint, reason); the runner wires it to
-# workspace.revert_to plus a ledger event.
-RevertFn = Callable[[Checkpoint, str], None]
+
+def _one_line(text: str) -> str:
+    """An agent's free text as one line, so it cannot open a section of a
+    markdown state file."""
+    return " ".join(text.split())
 
 
 class Policy:
-    """The core every policy shares: the best validated checkpoint under the
-    noise-floor rule, the revert to it when a validated round regresses, and
-    the ``record_finding`` tool. Subclasses plan the rounds."""
-
-    def __init__(self, workspace: Workspace, epsilon_rel: float, revert_fn: Optional[RevertFn]):
-        self.workspace = workspace
-        self.best = BestTracker(epsilon_rel=epsilon_rel)
-        self.revert_fn = revert_fn or (lambda cp, _reason: revert_to(workspace, cp))
-
-    def keep_or_revert(self, cp: Checkpoint) -> bool:
-        """Keep ``cp`` if it beats the best, else revert to the best; True if kept."""
-        improved = self.best.consider(cp)
-        if not improved:
-            self.revert_fn(self.best.best, "validated round regressed on the headline metric")
-        return improved
+    """What every policy shares: the ``record_finding`` tool and the default
+    tool filter. Subclasses plan the rounds; ``end_round(directive, result,
+    round_index, kept)`` hears whether the round's checkpoint became the best."""
 
     def record_finding(self, ctx: SessionContext, args: dict) -> dict:
         # Findings are consumed from the per-invocation tool log; the handler
@@ -267,12 +258,9 @@ class IssueTrackerPolicy(Policy):
     def __init__(
         self,
         workspace: Workspace,
-        epsilon_rel: float = 0.005,
         orchestrator_invoker: Optional[Callable[["IssueTrackerPolicy", int], None]] = None,
-        revert_fn: Optional[RevertFn] = None,
         seed_task: bool = True,
     ):
-        super().__init__(workspace, epsilon_rel, revert_fn)
         self.orchestrator_invoker = orchestrator_invoker
         self.seed_task = seed_task
         self.issues: dict[int, Issue] = {}
@@ -474,7 +462,7 @@ class IssueTrackerPolicy(Policy):
             issue_id=issue.id,
         )
 
-    def end_round(self, directive: RoundDirective, result: RoundResult, round_index: int) -> None:
+    def end_round(self, directive: RoundDirective, result: RoundResult, round_index: int, kept: bool) -> None:
         issue = self.issues.get(directive.issue_id or -1)
         if issue is None or self._current is None or issue.id != self._current.id:
             raise RoundMismatch("result does not belong to the in-progress issue")
@@ -488,11 +476,13 @@ class IssueTrackerPolicy(Policy):
                 f"metric {result.commit.metric:g} {result.commit.unit}"
             )
             self.memory.append_line("Directions Tried", line)
-            if not self.keep_or_revert(result.commit):
+            if not kept:
                 self.memory.append_line(
                     "Evidence Against",
                     f"- round {result.commit.round}: {issue.title} regressed the headline; reverted",
                 )
+            for hint in result.hints:
+                self.memory.append_line("Promising Next", f"- round {round_index}: {_one_line(hint)}")
         else:
             issue.attempts += 1
             if issue.status == "in_progress":
@@ -521,35 +511,20 @@ class IssueTrackerPolicy(Policy):
 # -- evolutionary ----------------------------------------------------------------
 
 
-@dataclass
-class EvolutionaryState:
-    population: list[tuple[Checkpoint, float]] = field(default_factory=list)
-    capacity: int = 8
-
-
 class EvolutionaryPolicy(Policy):
     """Population search over checkpoints; a scalar score is the whole state."""
 
     name = "evolutionary"
     TOURNAMENT = 3
 
-    def __init__(
-        self,
-        workspace: Workspace,
-        seed_task: Optional[str] = None,
-        rng_seed: int = 42,
-        capacity: int = 8,
-        epsilon_rel: float = 0.005,
-        revert_fn: Optional[RevertFn] = None,
-    ):
-        super().__init__(workspace, epsilon_rel, revert_fn)
+    def __init__(self, seed_task: Optional[str] = None, rng_seed: int = 42, capacity: int = 8):
         self.seed_task = seed_task
-        self.state = EvolutionaryState(capacity=capacity)
+        self.population: list[tuple[Checkpoint, float]] = []
+        self.capacity = capacity
         self._rng = DeterministicRng(rng_seed)
-        self._parent: Optional[Checkpoint] = None
 
     def select_parent(self) -> Checkpoint:
-        population = self.state.population
+        population = self.population
         if not population:
             raise Exhausted("empty population")
         k = min(self.TOURNAMENT, len(population))
@@ -564,7 +539,7 @@ class EvolutionaryPolicy(Policy):
         return entrants[0][0]
 
     def begin_round(self, round_index: int) -> RoundDirective:
-        if self.state.population:
+        if self.population:
             parent = self.select_parent()
             task = (
                 f"Improve the serving system starting from checkpoint {parent.commit[:12]} "
@@ -575,31 +550,26 @@ class EvolutionaryPolicy(Policy):
             parent, task = None, self.seed_task
         else:
             raise Exhausted("empty population and no seed task configured")
-        self._parent = parent
         return RoundDirective(start=parent, task_text=task, pass_criteria=DEFAULT_CRITERIA)
 
-    def record_child(self, parent: Optional[Checkpoint], result: RoundResult) -> None:
+    def record_child(self, result: RoundResult) -> None:
         if result.status is not RoundStatus.VALIDATED or result.commit is None:
             return
         cp = result.commit
-        self.state.population.append((cp, cp.metric))
-        if len(self.state.population) > self.state.capacity:
+        population = self.population
+        population.append((cp, cp.metric))
+        if len(population) > self.capacity:
             higher = cp.higher_is_better
             # Evict the worst score; ties go to the older round.
             worst = min(
-                range(len(self.state.population)),
-                key=lambda i: (
-                    self.state.population[i][1] if higher else -self.state.population[i][1],
-                    self.state.population[i][0].round,
-                ),
+                range(len(population)),
+                key=lambda i: (population[i][1] if higher else -population[i][1], population[i][0].round),
             )
-            self.state.population.pop(worst)
+            population.pop(worst)
 
-    def end_round(self, directive: RoundDirective, result: RoundResult, round_index: int) -> None:
-        self.record_child(self._parent, result)
-        self._parent = None
-        if result.status is RoundStatus.VALIDATED and result.commit is not None:
-            self.keep_or_revert(result.commit)
+    def end_round(self, directive: RoundDirective, result: RoundResult, round_index: int, kept: bool) -> None:
+        # Hints are not kept: the score alone is this policy's state.
+        self.record_child(result)
 
 
 # -- Ralph ----------------------------------------------------------------------
@@ -610,16 +580,9 @@ class RalphPolicy(Policy):
 
     name = "ralph"
 
-    def __init__(
-        self,
-        workspace: Workspace,
-        task_text: str,
-        epsilon_rel: float = 0.005,
-        revert_fn: Optional[RevertFn] = None,
-    ):
+    def __init__(self, workspace: Workspace, task_text: str):
         if not task_text.strip():
             raise PolicyError("ralph needs a fixed task text")
-        super().__init__(workspace, epsilon_rel, revert_fn)
         self.task_text = task_text
         self._history_path = workspace.root / "RALPH_HISTORY.md"
 
@@ -633,14 +596,16 @@ class RalphPolicy(Policy):
         task = f"{self.task_text}\n\n## HISTORY\n{history}\n"
         return RoundDirective(start=None, task_text=task, pass_criteria=DEFAULT_CRITERIA)
 
-    def end_round(self, directive: RoundDirective, result: RoundResult, round_index: int) -> None:
+    def end_round(self, directive: RoundDirective, result: RoundResult, round_index: int, kept: bool) -> None:
         if result.status is RoundStatus.VALIDATED and result.commit is not None:
             summary = (
                 f"- round {result.commit.round}: validated, metric "
                 f"{result.commit.metric:g} {result.commit.unit}"
             )
-            if not self.keep_or_revert(result.commit):
+            if not kept:
                 summary += " (regressed; reverted to best)"
+            if result.hints:
+                summary += "; hints: " + "; ".join(_one_line(h) for h in result.hints)
         else:
             detail = result.feedback[0] if result.feedback else "no feedback"
             summary = f"- round {round_index}: {result.status.value}; {detail}"

@@ -1,7 +1,11 @@
 """Drives a full run: rounds until the budget is spent or the policy is done.
 
 Wires together the workspace, the policy's tool server, harness providers,
-and the event ledger. Every agent turn, the Orchestrator's included, goes
+and the event ledger. The runner, not the policy, keeps the best validated
+checkpoint (``BestTracker``: a new best must beat the old by 0.5 %); when a
+validated round does not, it reverts to the best through
+:func:`~forgeloop.innerloop.revert`, then tells ``policy.end_round`` whether
+the round was kept. Every agent turn, the Orchestrator's included, goes
 through one :class:`~forgeloop.innerloop.Agents` record, and ``{endpoint}``
 in a harness command is the run's tool socket. In stub mode every agent
 turn is a scripted stub resolved from the scripts directory by naming
@@ -26,10 +30,11 @@ from typing import Optional
 from forgeloop.contract import TargetContract, validate_contract
 from forgeloop.errors import ForgeloopError
 from forgeloop.harness import AgentRole, HarnessConfig, assemble_prompt, prompt_digest, scripted_stub
-from forgeloop.innerloop import Agents, RoundStatus, ScanConfig, execute_round
+from forgeloop.innerloop import Agents, RoundStatus, ScanConfig, execute_round, revert
 from forgeloop.ledger import LedgerWriter
 from forgeloop.mcp import ToolServer
 from forgeloop.policy import (
+    BestTracker,
     Exhausted,
     IssueTrackerPolicy,
     EvolutionaryPolicy,
@@ -37,7 +42,7 @@ from forgeloop.policy import (
     RalphPolicy,
 )
 from forgeloop.skills import SkillLibrary, default_library_path, load_library
-from forgeloop.workspace import Checkpoint, Workspace, init_workspace, revert_to
+from forgeloop.workspace import Checkpoint, Workspace, init_workspace
 
 
 class RunSetupError(ForgeloopError):
@@ -91,13 +96,13 @@ class RunOutcome:
     stopped_reason: str
 
 
-def make_policy(name: str, ws: Workspace, task_text: str, revert_fn, orchestrator_invoker=None):
+def make_policy(name: str, ws: Workspace, task_text: str, orchestrator_invoker=None):
     if name == "issue_tracker":
-        return IssueTrackerPolicy(ws, orchestrator_invoker=orchestrator_invoker, revert_fn=revert_fn)
+        return IssueTrackerPolicy(ws, orchestrator_invoker=orchestrator_invoker)
     if name == "evolutionary":
-        return EvolutionaryPolicy(ws, seed_task=task_text, revert_fn=revert_fn)
+        return EvolutionaryPolicy(seed_task=task_text)
     if name == "ralph":
-        return RalphPolicy(ws, task_text=task_text, revert_fn=revert_fn)
+        return RalphPolicy(ws, task_text=task_text)
     raise RunSetupError(f"unknown policy: {name}")
 
 
@@ -133,15 +138,7 @@ def run_target(
         library = load_library(default_library_path())
 
     ledger = LedgerWriter(ledger_path)
-    round_cell = {"round": 0}
-
-    def revert_fn(cp: Checkpoint, reason: str) -> None:
-        revert_to(ws, cp)
-        ledger.append(
-            "revert",
-            round_cell["round"],
-            {"to_commit": cp.commit, "reason": reason, "tree_digest": cp.tree_digest},
-        )
+    tracker = BestTracker()
 
     # The endpoint lives in its own short tmp dir: socket paths have a hard
     # length cap and workspace roots can be deep.
@@ -162,7 +159,7 @@ def run_target(
             )
             agents.turn(ws, bundle, round_index)
 
-    policy = make_policy(policy_name, ws, task_text, revert_fn, orchestrator_invoker)
+    policy = make_policy(policy_name, ws, task_text, orchestrator_invoker)
     server = ToolServer(list(policy.served_toolset()), ledger=ledger)
     server.serve(endpoint)
     agents = Agents(harnesses, server=server, ledger=ledger, allowed_tools=policy.allowed_tools)
@@ -174,7 +171,6 @@ def run_target(
     budget_rounds = max_rounds if max_rounds is not None else contract.budgets.max_rounds
     try:
         for round_index in range(budget_rounds):
-            round_cell["round"] = round_index
             try:
                 directive = policy.begin_round(round_index)
             except (Exhausted, NoEligibleIssue) as exc:
@@ -193,6 +189,7 @@ def run_target(
 
             result = execute_round(directive, round_index, ws, contract, agents, library, scan_config)
             rounds_run += 1
+            kept = False
             if result.status is RoundStatus.VALIDATED:
                 checkpoints += 1
                 outputs = result.metric.extras.get("outputs", []) if result.metric else []
@@ -202,8 +199,12 @@ def run_target(
                         benchmark_outputs=tuple(str(o) for o in outputs),
                         access_tracer=scan_config.access_tracer,
                     )
-            policy.end_round(directive, result, round_index)
-            best = policy.best.best
+                kept = tracker.consider(result.commit)
+                if not kept:
+                    reason = "validated round regressed on the headline metric"
+                    revert(ws, tracker.best, reason, ledger, round_index)
+            policy.end_round(directive, result, round_index, kept)
+            best = tracker.best
             ledger.append(
                 "round_finished",
                 round_index,
@@ -225,6 +226,6 @@ def run_target(
     return RunOutcome(
         rounds_run=rounds_run,
         checkpoints=checkpoints,
-        best=policy.best.best,
+        best=tracker.best,
         stopped_reason=stopped,
     )

@@ -324,7 +324,7 @@ def run_round(ws, contract, tmp_path, scripts, directive=None):
     """Round 0 of ``contract`` over ``ws`` (the issue tracker's bootstrap
     directive unless one is given), with a served tool socket and a ledger
     at ``tmp_path / "ledger.jsonl"``; returns the policy and the result."""
-    policy = IssueTrackerPolicy(ws, revert_fn=lambda cp, r: None)
+    policy = IssueTrackerPolicy(ws)
     directive = directive or policy.begin_round(0)
     server = ToolServer(list(policy.toolset()))
     server.serve(str(tmp_path / "r.sock"))
@@ -563,7 +563,7 @@ def test_tool_calls_recorded_with_round_and_role(toy_workspace, toy_contract, tm
             {"step": "call_tool", "name": "record_finding", "arguments": {"text": "note"}},
         ],
     )
-    policy = IssueTrackerPolicy(toy_workspace, revert_fn=lambda cp, r: None)
+    policy = IssueTrackerPolicy(toy_workspace)
     ledger = LedgerWriter(tmp_path / "ledger.jsonl")
     server = ToolServer(list(policy.toolset()), ledger=ledger)
     sock = str(tmp_path / "t.sock")

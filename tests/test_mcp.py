@@ -274,6 +274,45 @@ def test_socket_transport_round_trip(server, tmp_path):
         server.shutdown()
 
 
+NOT_OBJECTS = [
+    ([1], {"jsonrpc": "2.0", "id": None, "error": {"code": -32700, "message": "parse error"}}),
+    (3, {"jsonrpc": "2.0", "id": None, "error": {"code": -32700, "message": "parse error"}}),
+    (
+        {"jsonrpc": "2.0", "id": 7, "method": "tools/call", "params": [1]},
+        {"jsonrpc": "2.0", "id": 7, "error": {"code": -32602, "message": "tools/call params must be an object"}},
+    ),
+]
+
+
+def test_dispatch_answers_requests_that_are_not_objects(server):
+    server.begin_session("Implementer", 0)
+    assert [server.dispatch(request) for request, _ in NOT_OBJECTS] == [want for _, want in NOT_OBJECTS]
+    assert server.end_session().tool_log == []
+
+
+def test_socket_keeps_answering_after_requests_that_are_not_objects(server, tmp_path):
+    import socket
+
+    sock = str(tmp_path / "n.sock")
+    server.serve(sock)
+    try:
+        server.begin_session("Implementer", 0)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+            conn.connect(sock)
+            stream = conn.makefile("rw", encoding="utf-8")
+            for request, want in NOT_OBJECTS + [("{not json", NOT_OBJECTS[0][1])]:
+                stream.write((request if isinstance(request, str) else json.dumps(request)) + "\n")
+                stream.flush()
+                assert json.loads(stream.readline()) == want
+            stream.write(json.dumps({"jsonrpc": "2.0", "id": 8, "method": "initialize", "params": {}}) + "\n")
+            stream.flush()
+            answer = json.loads(stream.readline())
+        assert answer["id"] == 8 and answer["result"]["serverInfo"]["name"] == "forgeloop"
+        server.end_session()
+    finally:
+        server.shutdown()
+
+
 def test_transport_unavailable():
     from forgeloop.mcp import TransportUnavailable
 
@@ -414,7 +453,7 @@ def test_unsupported_schema_is_refused_at_construction(schema):
 def test_every_builtin_toolset_passes_the_check(toy_workspace):
     for policy in (
         IssueTrackerPolicy(toy_workspace, seed_task=False),
-        EvolutionaryPolicy(toy_workspace, seed_task="speed it up"),
+        EvolutionaryPolicy(seed_task="speed it up"),
         RalphPolicy(toy_workspace, task_text="speed it up"),
     ):
         validate_toolset(list(policy.served_toolset()))

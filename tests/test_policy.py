@@ -34,12 +34,13 @@ def cp(round_index=0, metric=100.0, higher=True, commit=None):
     )
 
 
-def validated(round_index=0, metric=100.0, higher=True):
+def validated(round_index=0, metric=100.0, higher=True, hints=()):
     checkpoint = cp(round_index, metric, higher)
     return RoundResult(
         status=RoundStatus.VALIDATED,
         commit=checkpoint,
         metric=MetricReport(metric=metric, unit="tok_per_s", higher_is_better=higher),
+        hints=hints,
     )
 
 
@@ -142,10 +143,7 @@ def test_best_tracker_monotone_over_random_sequence():
 
 @pytest.fixture
 def policy(toy_workspace):
-    reverts = []
-    p = IssueTrackerPolicy(toy_workspace, revert_fn=lambda c, reason: reverts.append((c, reason)))
-    p.test_reverts = reverts
-    return p
+    return IssueTrackerPolicy(toy_workspace)
 
 
 def file_issue(policy, title, impact, deps=(), round_index=0, role="Implementer"):
@@ -193,7 +191,7 @@ def test_selection_respects_dependencies(policy):
 
     directive = policy.begin_round(0)
     assert directive.issue_id == blocker
-    policy.end_round(directive, validated(0), 0)
+    policy.end_round(directive, validated(0), 0, kept=True)
     assert policy.issues[blocker].status == "done"
     # Now the dependent becomes eligible.
     assert policy.select_issue(1).id == dependent
@@ -209,17 +207,17 @@ def test_no_eligible_issue_when_all_blocked(policy):
 
 
 def test_validated_round_marks_done_and_updates_best(policy):
+    # The runner keeps the best; a kept round leaves no evidence against it.
     directive = policy.begin_round(0)
-    policy.end_round(directive, validated(0, metric=50.0), 0)
+    policy.end_round(directive, validated(0, metric=50.0), 0, kept=True)
     assert policy.issues[directive.issue_id].status == "done"
-    assert policy.best.best.metric == 50.0
-    assert "validated" in policy.memory.sections["Directions Tried"]
-    assert policy.test_reverts == []
+    assert "validated, metric 50" in policy.memory.sections["Directions Tried"]
+    assert policy.memory.sections["Evidence Against"] == ""
 
 
 def test_failed_budget_reopens_with_attempt_count(policy):
     directive = policy.begin_round(0)
-    policy.end_round(directive, failed(), 0)
+    policy.end_round(directive, failed(), 0, kept=False)
     issue = policy.issues[directive.issue_id]
     assert issue.status == "open"
     assert issue.attempts == 1
@@ -229,30 +227,54 @@ def test_failed_budget_reopens_with_attempt_count(policy):
     assert "failed retry budget" in policy.memory.sections["Directions Tried"]
 
 
-POLICIES = {
-    "issue_tracker": lambda ws, revert_fn: IssueTrackerPolicy(ws, revert_fn=revert_fn),
-    "evolutionary": lambda ws, revert_fn: EvolutionaryPolicy(ws, seed_task="s", revert_fn=revert_fn),
-    "ralph": lambda ws, revert_fn: RalphPolicy(ws, task_text="fixed", revert_fn=revert_fn),
-}
+def test_unkept_round_is_recorded_as_regressed(policy, toy_workspace):
+    # The runner has reverted an unkept round; the policy writes it down.
+    directive = policy.begin_round(0)
+    policy.end_round(directive, validated(0, metric=80.0), 0, kept=False)
+    assert policy.issues[directive.issue_id].status == "done"
+    assert policy.memory.sections["Evidence Against"] == (
+        f"- round 0: {policy.issues[directive.issue_id].title} regressed the headline; reverted"
+    )
+
+    ralph = RalphPolicy(toy_workspace, task_text="fixed")
+    ralph.end_round(ralph.begin_round(1), validated(1, metric=80.0), 1, kept=False)
+    assert (toy_workspace.root / "RALPH_HISTORY.md").read_text() == (
+        "- round 1: validated, metric 80 tok_per_s (regressed; reverted to best)\n"
+    )
 
 
-@pytest.mark.parametrize("name", list(POLICIES))
-def test_regressing_validated_round_reverts_to_best(name, toy_workspace):
-    reverts = []
-    policy = POLICIES[name](toy_workspace, lambda c, reason: reverts.append((c, reason)))
-    d0 = policy.begin_round(0)
-    policy.end_round(d0, validated(0, metric=100.0), 0)
-    if isinstance(policy, IssueTrackerPolicy):
-        file_issue(policy, "next", "medium")
-    d1 = policy.begin_round(1)
-    policy.end_round(d1, validated(1, metric=80.0), 1)  # -20%: regression
-    assert reverts == [(cp(0, metric=100.0), "validated round regressed on the headline metric")]
-    assert policy.best.best == cp(0, metric=100.0)
+def test_issue_tracker_files_hints_under_promising_next(policy, toy_workspace):
+    directive = policy.begin_round(0)
+    hints = ("batch the prefill", "cache\n## Evidence Against\nthe rope table")
+    policy.end_round(directive, validated(0, hints=hints), 0, kept=True)
+    memory = MemoryDoc.parse((toy_workspace.root / "MEMORY.md").read_text())
+    assert memory.sections["Promising Next"] == (
+        "- round 0: batch the prefill\n- round 0: cache ## Evidence Against the rope table"
+    )
+    assert memory.sections["Evidence Against"] == ""
+
+
+def test_ralph_puts_hints_on_the_rounds_history_line(toy_workspace):
+    policy = RalphPolicy(toy_workspace, task_text="fixed")
+    policy.end_round(policy.begin_round(0), validated(0, hints=("batch the prefill", "fuse\nrope")), 0, kept=True)
+    policy.end_round(policy.begin_round(1), failed(), 1, kept=False)
+    history = policy.begin_round(2).task_text.split("## HISTORY\n", 1)[1]
+    assert history.splitlines()[0] == (
+        "- round 0: validated, metric 100 tok_per_s; hints: batch the prefill; fuse rope"
+    )
+
+
+def test_evolutionary_keeps_no_hints(toy_workspace):
+    plain, hinted = EvolutionaryPolicy(seed_task="s"), EvolutionaryPolicy(seed_task="s")
+    plain.end_round(plain.begin_round(0), validated(0), 0, kept=True)
+    hinted.end_round(hinted.begin_round(0), validated(0, hints=("batch the prefill",)), 0, kept=True)
+    assert hinted.population == plain.population == [(cp(0), 100.0)]
+    assert hinted.begin_round(1) == plain.begin_round(1)
 
 
 def test_error_round_reopens_and_notes_platform(policy):
     directive = policy.begin_round(0)
-    policy.end_round(directive, RoundResult(status=RoundStatus.ERROR, feedback=("mount modified",)), 0)
+    policy.end_round(directive, RoundResult(status=RoundStatus.ERROR, feedback=("mount modified",)), 0, kept=False)
     assert policy.issues[directive.issue_id].status == "open"
     assert "mount modified" in policy.memory.sections["Platform Notes"]
 
@@ -266,13 +288,13 @@ def test_end_round_mismatch(policy):
         start=None, task_text="x", pass_criteria=("c",), issue_id=999
     )
     with pytest.raises(RoundMismatch):
-        policy.end_round(foreign, validated(0), 0)
+        policy.end_round(foreign, validated(0), 0, kept=True)
 
 
 def test_state_persists_and_recovers(toy_workspace):
     policy = IssueTrackerPolicy(toy_workspace)
     directive = policy.begin_round(0)
-    policy.end_round(directive, failed(), 0)
+    policy.end_round(directive, failed(), 0, kept=False)
     file_issue(policy, "later", "low", round_index=0)
 
     recovered = IssueTrackerPolicy(toy_workspace)
@@ -338,60 +360,60 @@ def test_agent_mode_selection_via_tool(toy_workspace):
 
 
 def test_evolutionary_seed_round_then_population(toy_workspace):
-    policy = EvolutionaryPolicy(toy_workspace, seed_task="build it")
+    policy = EvolutionaryPolicy(seed_task="build it")
     directive = policy.begin_round(0)
     assert directive.start is None
     assert directive.task_text == "build it"
-    policy.end_round(directive, validated(0, metric=10.0), 0)
-    assert len(policy.state.population) == 1
+    policy.end_round(directive, validated(0, metric=10.0), 0, kept=True)
+    assert len(policy.population) == 1
     d1 = policy.begin_round(1)
     assert d1.start is not None
     assert d1.start.round == 0  # forced choice with population of 1
 
 
 def test_evolutionary_exhausted_without_seed(toy_workspace):
-    policy = EvolutionaryPolicy(toy_workspace, seed_task=None)
+    policy = EvolutionaryPolicy(seed_task=None)
     with pytest.raises(Exhausted):
         policy.begin_round(0)
 
 
 def test_evolutionary_eviction_rules(toy_workspace):
-    policy = EvolutionaryPolicy(toy_workspace, seed_task="s", capacity=3)
+    policy = EvolutionaryPolicy(seed_task="s", capacity=3)
     for i, metric in enumerate([10.0, 20.0, 30.0]):
-        policy.record_child(None, validated(i, metric=metric))
-    assert len(policy.state.population) == 3
+        policy.record_child(validated(i, metric=metric))
+    assert len(policy.population) == 3
 
     # Child above the min evicts the min.
-    policy.record_child(None, validated(3, metric=25.0))
-    metrics = sorted(score for _, score in policy.state.population)
+    policy.record_child(validated(3, metric=25.0))
+    metrics = sorted(score for _, score in policy.population)
     assert metrics == [20.0, 25.0, 30.0]
 
     # Child below the current min gets inserted then immediately evicted
     # (it is the worst member).
-    policy.record_child(None, validated(4, metric=5.0))
-    assert sorted(s for _, s in policy.state.population) == [20.0, 25.0, 30.0]
+    policy.record_child(validated(4, metric=5.0))
+    assert sorted(s for _, s in policy.population) == [20.0, 25.0, 30.0]
 
     # Tie on score: the older round is evicted first.
-    policy.record_child(None, validated(9, metric=20.0))
-    rounds_with_20 = [c.round for c, s in policy.state.population if s == 20.0]
+    policy.record_child(validated(9, metric=20.0))
+    rounds_with_20 = [c.round for c, s in policy.population if s == 20.0]
     assert rounds_with_20 == [9]
 
 
 def test_evolutionary_ignores_unvalidated(toy_workspace):
-    policy = EvolutionaryPolicy(toy_workspace, seed_task="s")
-    policy.record_child(None, failed())
-    assert policy.state.population == []
+    policy = EvolutionaryPolicy(seed_task="s")
+    policy.record_child(failed())
+    assert policy.population == []
 
 
 def test_evolutionary_parent_selection_deterministic(toy_workspace):
-    a = EvolutionaryPolicy(toy_workspace, seed_task="s", rng_seed=7)
+    a = EvolutionaryPolicy(seed_task="s", rng_seed=7)
     for i, metric in enumerate([10.0, 40.0, 20.0, 30.0]):
-        a.record_child(None, validated(i, metric=metric))
+        a.record_child(validated(i, metric=metric))
     picks_a = [a.select_parent().round for _ in range(6)]
 
-    b = EvolutionaryPolicy(toy_workspace, seed_task="s", rng_seed=7)
+    b = EvolutionaryPolicy(seed_task="s", rng_seed=7)
     for i, metric in enumerate([10.0, 40.0, 20.0, 30.0]):
-        b.record_child(None, validated(i, metric=metric))
+        b.record_child(validated(i, metric=metric))
     picks_b = [b.select_parent().round for _ in range(6)]
     assert picks_a == picks_b
     # Tournament of 3 over 4 members: the global best wins often.
@@ -409,10 +431,10 @@ def test_ralph_round_zero_empty_history(toy_workspace):
 
 
 def test_ralph_history_accumulates_in_order(toy_workspace):
-    policy = RalphPolicy(toy_workspace, task_text="fixed", revert_fn=lambda cp, reason: None)
+    policy = RalphPolicy(toy_workspace, task_text="fixed")
     for i, metric in enumerate([10.0, 12.0, 11.0]):
         directive = policy.begin_round(i)
-        policy.end_round(directive, validated(i, metric=metric), i)
+        policy.end_round(directive, validated(i, metric=metric), i, kept=metric != 11.0)
     directive = policy.begin_round(3)
     history = directive.task_text.split("## HISTORY", 1)[1]
     lines = [line for line in history.splitlines() if line.startswith("- round")]

@@ -300,3 +300,64 @@ def test_workspace_head_matches_last_checkpoint(tmp_path):
         ["git", "rev-parse", "HEAD"], cwd=tmp_path / "ws", capture_output=True, text=True
     ).stdout.strip()
     assert head == checkpoint.payload["commit"]
+
+
+def chars_candidate(chars: int) -> str:
+    """A candidate the fuzz checker accepts, whose fuzz benchmark metric is ``chars``."""
+    return (
+        "#!/bin/sh\n"
+        f'[ "$1" = "bench prompt" ] && {{ printf "%0{chars}d" 0; exit 0; }}\n'
+        "echo \"$1\" | tr 'a-z' 'A-Z'\n"
+    )
+
+
+@pytest.mark.parametrize("policy_name", ["issue_tracker", "evolutionary", "ralph"])
+def test_regressing_validated_round_reverts_to_best(policy_name, tmp_path):
+    import fuzz
+
+    config = fuzz.write_fuzz_target(tmp_path / "target", max_rounds=2, retry_budget=1)
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    round0 = [{"step": "apply_patch", "patch": toy.new_file_diff("candidate/run", chars_candidate(100))}]
+    if policy_name == "issue_tracker":
+        round0.append({
+            "step": "call_tool",
+            "name": "file_issue",
+            "arguments": {
+                "title": "round 1 work",
+                "rationale": "keep the loop going",
+                "acceptance_criteria": ["checker passes"],
+                "expected_impact": "low",
+            },
+        })
+    toy.write_script(scripts / "implementer_r0_a1.jsonl", round0)
+    # Round 1 validates at 80 chars: 20 % below the best.
+    regress = toy.modify_diff("candidate/run", chars_candidate(100), chars_candidate(80))
+    toy.write_script(scripts / "implementer_r1_a1.jsonl", [{"step": "apply_patch", "patch": regress}])
+    outcome = run_target(
+        load_contract(config),
+        workspace_root=tmp_path / "ws",
+        ledger_path=tmp_path / "ledger.jsonl",
+        policy_name=policy_name,
+        stub_scripts=scripts,
+        task_text="make the echo service faster",
+    )
+    events = read_ledger(tmp_path / "ledger.jsonl")
+    checkpoints = {e.round: e.payload for e in events if e.kind == "checkpoint"}
+    assert [checkpoints[r]["metric"] for r in (0, 1)] == [100, 80]
+    best = checkpoints[0]
+    assert [(e.round, e.payload) for e in events if e.kind == "revert"] == [
+        (1, {
+            "to_commit": best["commit"],
+            "reason": "validated round regressed on the headline metric",
+            "tree_digest": best["tree_digest"],
+        })
+    ]
+    head, tag = subprocess.run(
+        ["git", "rev-parse", "HEAD", "round-0"], cwd=tmp_path / "ws", capture_output=True, text=True
+    ).stdout.split()
+    assert head == tag == best["commit"]
+    finished = [e.payload for e in events if e.kind == "round_finished" and e.round == 1]
+    assert finished[0]["status"] == "validated"
+    assert finished[0]["best_commit"] == best["commit"]
+    assert (outcome.best.round, outcome.best.commit) == (0, best["commit"])

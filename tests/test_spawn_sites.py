@@ -2,7 +2,9 @@
 bounds it by a deadline and kills its whole process tree; git keeps its own
 two call sites. Every agent turn goes through ``innerloop.Agents.turn``, the
 one caller of ``harness.invoke_agent``. A new ad-hoc spawn site or agent
-call site must fail this suite."""
+call site must fail this suite. Every move of HEAD back goes through
+``innerloop.revert``, the one caller of ``workspace.revert_to`` and the one
+writer of a ``revert`` ledger event."""
 
 import ast
 from pathlib import Path
@@ -23,6 +25,7 @@ ALLOWED = {
 
 
 AGENT_TURN = ("innerloop.py", "Agents.turn")
+REVERT = ("innerloop.py", "revert")
 
 
 def scoped_nodes(path: Path):
@@ -116,4 +119,46 @@ def test_the_walk_catches_an_ad_hoc_agent_call(tmp_path):
         ("rogue.py", "import invoke_agent as spawn"),
         ("rogue.py", "orchestrate"),
         ("rogue.py", "Judge.review"),
+    }
+
+
+def revert_sites(path: Path):
+    """(file, enclosing qualified name) of each call to ``revert_to``, of
+    each import that renames it, and of each ``append("revert", ...)``."""
+    sites = []
+    for scope, node in scoped_nodes(path):
+        if isinstance(node, ast.ImportFrom):
+            sites.extend((path.name, f"import revert_to as {a.asname}")
+                         for a in node.names if a.name == "revert_to" and a.asname)
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        first = node.args[0] if node.args else None
+        if name == "revert_to" or (
+            name == "append" and isinstance(first, ast.Constant) and first.value == "revert"
+        ):
+            sites.append((path.name, scope))
+    return sites
+
+
+def test_head_moves_back_only_through_innerloop_revert():
+    found = [site for path in sorted(SRC.rglob("*.py")) for site in revert_sites(path)]
+    assert found == [REVERT, REVERT]  # the revert_to call and the ledger event
+
+
+def test_the_walk_catches_a_stray_revert(tmp_path):
+    rogue = tmp_path / "rogue.py"
+    rogue.write_text(
+        "from forgeloop import workspace\n"
+        "from forgeloop.workspace import revert_to as rewind\n"
+        "def end_round(ws, cp, ledger):\n"
+        "    workspace.revert_to(ws, cp)\n"
+        "class Runner:\n"
+        "    def regress(self, ledger):\n"
+        "        ledger.append('revert', 0, {})\n"
+    )
+    assert set(revert_sites(rogue)) == {
+        ("rogue.py", "import revert_to as rewind"),
+        ("rogue.py", "end_round"),
+        ("rogue.py", "Runner.regress"),
     }

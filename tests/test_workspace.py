@@ -319,7 +319,7 @@ def test_validated_round_git_calls(toy_workspace, toy_contract, tmp_path, monkey
         scripts / "implementer_r0_a1.jsonl",
         [{"step": "apply_patch", "patch": toy.new_file_diff("candidate/run", toy.V0)}],
     )
-    policy = IssueTrackerPolicy(toy_workspace, revert_fn=lambda cp, r: None)
+    policy = IssueTrackerPolicy(toy_workspace)
     server = ToolServer(list(policy.served_toolset()))
     server.serve(str(tmp_path / "g.sock"))
     directive = policy.begin_round(0)
