@@ -6,8 +6,9 @@ Implementer -> Accuracy Judge -> Performance Evaluator pipeline. All agent
 intelligence comes from pluggable external harness processes; a deterministic
 scripted stub covers offline testing.
 
-Keep this module import-light: the scripted stub re-imports the package in a
-subprocess on every agent invocation.
+Keep this package import-light: every ``forgeloop run`` and every read-only
+CLI command (report, status, replay) loads it in a fresh process before doing
+any work. The scripted stub runs by file path and imports nothing from it.
 """
 
 __version__ = "0.1.0"

@@ -47,7 +47,9 @@ def _positive_speed(raw: str) -> float:
 
 def cmd_run(args) -> int:
     # Each subcommand imports what only it needs (here the loop's modules
-    # and yaml for the skills' front matter), so the read-only ones start fast.
+    # and yaml for the skills' front matter), so the read-only ones start
+    # fast. Every record is a NamedTuple or a plain class, cheap to define,
+    # so this import costs little beyond reading the modules.
     from forgeloop.runner import DEFAULT_TASK, run_target
 
     try:

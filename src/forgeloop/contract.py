@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from forgeloop.errors import ForgeloopError
 
@@ -49,8 +49,7 @@ DEFAULT_ROUND_WALL_CLOCK_S = 3600
 DEFAULT_AGENT_TIMEOUT_S = 900
 
 
-@dataclass(frozen=True)
-class RoundBudget:
+class RoundBudget(NamedTuple):
     max_rounds: int = DEFAULT_MAX_ROUNDS
     retry_budget: int = DEFAULT_RETRY_BUDGET
     round_wall_clock_limit_s: int = DEFAULT_ROUND_WALL_CLOCK_S
@@ -66,8 +65,7 @@ class RoundBudget:
         return out
 
 
-@dataclass(frozen=True)
-class TargetContract:
+class TargetContract(NamedTuple):
     name: str
     reference_impl: Path
     weights: Path
@@ -75,18 +73,16 @@ class TargetContract:
     benchmark: Path
     instructions: str
     probe_prompts: tuple[str, ...] = ()
-    budgets: RoundBudget = field(default_factory=RoundBudget)
+    budgets: RoundBudget = RoundBudget()
     profiler_commands: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ContractViolation:
+class ContractViolation(NamedTuple):
     subject: str  # field or type the violation cites, e.g. "RoundBudget"
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[ContractViolation, ...]
 
     @property

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from forgeloop.errors import ForgeloopError
+from forgeloop.errors import ForgeloopError, checked
 
 
 class MalformedPPM(ForgeloopError):
@@ -34,8 +34,8 @@ class DimensionMismatch(ForgeloopError):
     pass
 
 
-@dataclass(frozen=True)
-class ImageGateSpec:
+@checked
+class ImageGateSpec(NamedTuple):
     """Quality bar a candidate frame must clear against the baseline."""
 
     mae_max: float = 2.0
@@ -44,15 +44,14 @@ class ImageGateSpec:
     width: int = 432
     height: int = 432
 
-    def __post_init__(self):
+    def _check(self):
         if self.mae_max <= 0 or self.psnr_min_db <= 0 or self.ssim_min <= 0:
             raise ValueError("gate thresholds must be positive")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("gate dimensions must be positive")
 
 
-@dataclass(frozen=True)
-class GateResult:
+class GateResult(NamedTuple):
     passed: bool
     mae: float
     psnr_db: float

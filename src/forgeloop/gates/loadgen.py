@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from forgeloop.errors import ForgeloopError
+from forgeloop.errors import ForgeloopError, checked
 from forgeloop.gates.metrics import RequestRecord
 from forgeloop.gates.rng import DeterministicRng
 
@@ -21,8 +20,8 @@ class InvalidLoadSpec(ForgeloopError):
     pass
 
 
-@dataclass(frozen=True)
-class LoadSpec:
+@checked
+class LoadSpec(NamedTuple):
     """Parameters of one synthetic load run."""
 
     rate: float  # requests per second
@@ -31,7 +30,7 @@ class LoadSpec:
     max_tokens: int
     prompt_pool: tuple[str, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if self.rate <= 0:
             raise InvalidLoadSpec("rate must be > 0")
         if self.duration < 0:
@@ -53,8 +52,7 @@ class LoadSpec:
             raise InvalidLoadSpec(f"load spec missing key: {exc.args[0]}") from None
 
 
-@dataclass(frozen=True)
-class ScheduledRequest:
+class ScheduledRequest(NamedTuple):
     arrival: float  # seconds from run start
     prompt_index: int
 
@@ -83,10 +81,9 @@ def gen_poisson_schedule(spec: LoadSpec) -> list[ScheduledRequest]:
 Endpoint = Callable[[str, int], Iterable[str]]
 
 
-@dataclass
 class _Collector:
-    records: list[RequestRecord | None]
-    lock: threading.Lock = field(default_factory=threading.Lock)
+    def __init__(self, records: list[RequestRecord | None], lock: threading.Lock | None = None):
+        self.records, self.lock = records, threading.Lock() if lock is None else lock
 
     def put(self, i: int, record: RequestRecord) -> None:
         with self.lock:

@@ -10,8 +10,8 @@ separately.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from forgeloop.errors import ForgeloopError
 
@@ -24,8 +24,7 @@ class MetricParseError(ForgeloopError):
     pass
 
 
-@dataclass(frozen=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """Timestamps (seconds, shared clock) and token count for one request."""
 
     arrival: float
@@ -36,8 +35,7 @@ class RequestRecord:
     failure: str = ""
 
 
-@dataclass(frozen=True)
-class MetricsSummary:
+class MetricsSummary(NamedTuple):
     throughput_tok_per_s: float
     mean_ttft_s: float
     mean_tpot_s: float | None  # None when no record had >= 2 tokens
@@ -45,14 +43,13 @@ class MetricsSummary:
     failed: int
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     """Headline benchmark metric plus optional per-request records."""
 
     metric: float
     unit: str
     higher_is_better: bool
-    extras: dict = field(default_factory=dict)
+    extras: Mapping = MappingProxyType({})  # read-only: no shared mutable default
     records: tuple[RequestRecord, ...] = ()
 
 

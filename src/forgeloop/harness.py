@@ -21,11 +21,10 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from forgeloop.errors import ForgeloopError
+from forgeloop.errors import ForgeloopError, checked
 from forgeloop.skills import SkillEntry
 
 
@@ -54,8 +53,7 @@ class ExitKind(enum.Enum):
     CRASHED = "crashed"
 
 
-@dataclass(frozen=True)
-class PromptBundle:
+class PromptBundle(NamedTuple):
     """Everything an invocation's prompt is built from; fresh per turn."""
 
     role: AgentRole
@@ -66,8 +64,7 @@ class PromptBundle:
     instructions: str
 
 
-@dataclass(frozen=True)
-class AgentInvocation:
+class AgentInvocation(NamedTuple):
     """One agent turn: its accounting and what it left behind."""
 
     role: AgentRole
@@ -87,8 +84,8 @@ class AgentInvocation:
         return self.ended - self.started
 
 
-@dataclass(frozen=True)
-class HarnessConfig:
+@checked
+class HarnessConfig(NamedTuple):
     """Command template with ``{workspace}``, ``{prompt_file}``, ``{endpoint}``
     and ``{role}`` placeholders, plus the env names allowed through."""
 
@@ -96,7 +93,7 @@ class HarnessConfig:
     env_allowlist: tuple[str, ...] = ()
     timeout_s: float = 900.0
 
-    def __post_init__(self):
+    def _check(self):
         if not self.command_template:
             raise HarnessError("command_template must be nonempty")
 
@@ -245,8 +242,7 @@ def invoke_agent(
     return invocation
 
 
-@dataclass(frozen=True)
-class Completed:
+class Completed(NamedTuple):
     """What a bounded child left behind."""
 
     returncode: Optional[int]  # None when the deadline killed it

@@ -25,12 +25,11 @@ import enum
 import json
 import os
 import subprocess  # noqa: F401 - unused here; overheadbench's tracer replaces this module attribute
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from forgeloop.contract import TargetContract
-from forgeloop.errors import ForgeloopError
+from forgeloop.errors import ForgeloopError, checked
 from forgeloop.gates.metrics import MetricParseError, MetricReport, parse_metric_line
 from forgeloop.harness import (
     AgentRole,
@@ -80,18 +79,17 @@ TAMPER = "tamper"
 _KINDS = (ACCURACY, CRITERIA, REWARD_HACK, TAMPER)
 
 
-@dataclass(frozen=True)
-class Violation:
+@checked
+class Violation(NamedTuple):
     kind: str
     detail: str
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown violation kind: {self.kind}")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -105,8 +103,7 @@ class RoundStatus(enum.Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class RoundResult:
+class RoundResult(NamedTuple):
     status: RoundStatus
     commit: Optional[Checkpoint] = None
     metric: Optional[MetricReport] = None
@@ -117,8 +114,7 @@ class RoundResult:
 HarnessProvider = Callable[[AgentRole, int, int], HarnessConfig]
 
 
-@dataclass(frozen=True)
-class Agents:
+class Agents(NamedTuple):
     """How a round reaches its agents: the harness for each (role, round,
     attempt), the run's tool server and ledger, and the tools a role may
     call (``None``: every served tool)."""
@@ -144,8 +140,7 @@ class Agents:
 # -- reward-hack scan ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     prompt: str
     output: bytes
     latency_s: float
@@ -155,8 +150,7 @@ class ProbeResult:
 ProbeRunner = Callable[[str], ProbeResult]
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(NamedTuple):
     latency_floor_s: float = 0.001
     benchmark_outputs: tuple[str, ...] = ()
     # Post-probe hook: True if the candidate read the weights path during the
@@ -164,8 +158,7 @@ class ScanConfig:
     access_tracer: Optional[Callable[[], bool]] = None
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     violations: tuple[Violation, ...]
     unchecked: tuple[str, ...]
 

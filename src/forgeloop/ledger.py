@@ -10,9 +10,8 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from forgeloop.errors import ForgeloopError
 
@@ -37,8 +36,7 @@ class ConsistencyViolation(ForgeloopError):
         self.seq = seq
 
 
-@dataclass(frozen=True)
-class LedgerEvent:
+class LedgerEvent(NamedTuple):
     seq: int
     timestamp: float
     kind: str
@@ -136,8 +134,7 @@ def read_ledger(path: str | Path) -> list[LedgerEvent]:
 # -- per-role report (Calls / Duration / Share / Avg per call) ----------
 
 
-@dataclass(frozen=True)
-class RoleReportRow:
+class RoleReportRow(NamedTuple):
     role: str
     calls: int
     duration_h: float
@@ -193,8 +190,7 @@ def format_role_report(rows: list[RoleReportRow]) -> str:
 # -- status summary ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StatusSummary:
+class StatusSummary(NamedTuple):
     current_round: Optional[int]
     best_commit: Optional[str]
     best_metric: Optional[float]

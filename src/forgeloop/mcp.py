@@ -31,8 +31,7 @@ import json
 import socket
 import socketserver
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from forgeloop.errors import ForgeloopError
 
@@ -65,8 +64,7 @@ class InvalidParams(McpError):
     """A call's arguments fail its tool's input schema."""
 
 
-@dataclass(frozen=True)
-class SessionContext:
+class SessionContext(NamedTuple):
     role: str
     round: int
 
@@ -75,23 +73,20 @@ class SessionContext:
 ToolHandler = Callable[[SessionContext, dict], dict]
 
 
-@dataclass(frozen=True)
-class ToolSpec:
+class ToolSpec(NamedTuple):
     name: str
     description: str
     input_schema: dict
     handler: ToolHandler
 
 
-@dataclass(frozen=True)
-class ToolCall:
+class ToolCall(NamedTuple):
     tool: str
     arguments: dict
     call_id: object
 
 
-@dataclass(frozen=True)
-class ToolResult:
+class ToolResult(NamedTuple):
     call_id: object
     ok: bool
     payload: Optional[dict] = None
@@ -222,8 +217,7 @@ def handle_call(toolset: dict[str, ToolSpec], call: ToolCall, ctx: SessionContex
     return ToolResult(call_id=call.call_id, ok=True, payload=payload)
 
 
-@dataclass(frozen=True)
-class ToolLogEntry:
+class ToolLogEntry(NamedTuple):
     tool: str
     arguments: dict
     ok: bool
@@ -231,14 +225,15 @@ class ToolLogEntry:
     error: Optional[str]
 
 
-@dataclass
 class Session:
-    role: str
-    round: int
-    allowed_tools: Optional[frozenset[str]] = None  # None = full toolset
-    tool_calls: int = 0
-    emitted_result: Optional[object] = None
-    tool_log: list[ToolLogEntry] = field(default_factory=list)
+    """One agent turn's view of the server; dispatch updates its counters."""
+
+    def __init__(self, role: str, round: int, allowed_tools: Optional[frozenset[str]] = None,
+                 tool_calls: int = 0, emitted_result: Optional[object] = None,
+                 tool_log: Optional[list[ToolLogEntry]] = None):
+        self.role, self.round, self.allowed_tools = role, round, allowed_tools  # None = full toolset
+        self.tool_calls, self.emitted_result = tool_calls, emitted_result
+        self.tool_log = [] if tool_log is None else tool_log
 
 
 class ToolServer:

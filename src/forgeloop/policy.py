@@ -20,10 +20,9 @@ regresses, and tells ``end_round`` whether the round was kept.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from forgeloop.errors import ForgeloopError
+from forgeloop.errors import ForgeloopError, checked
 from forgeloop.gates.rng import DeterministicRng
 from forgeloop.harness import AgentRole
 from forgeloop.innerloop import RoundResult, RoundStatus
@@ -60,18 +59,14 @@ ALLOWED_TRANSITIONS = {
 }
 
 
-@dataclass
 class Issue:
-    id: int
-    title: str
-    rationale: str
-    acceptance_criteria: tuple[str, ...]
-    expected_impact: str
-    status: str = "open"
-    filed_by: str = AgentRole.ORCHESTRATOR.value
-    round_filed: int = 0
-    depends_on: tuple[int, ...] = ()
-    attempts: int = 0
+    def __init__(self, id: int, title: str, rationale: str, acceptance_criteria: tuple[str, ...],
+                 expected_impact: str, status: str = "open", filed_by: str = AgentRole.ORCHESTRATOR.value,
+                 round_filed: int = 0, depends_on: tuple[int, ...] = (), attempts: int = 0):
+        self.id, self.title, self.rationale = id, title, rationale
+        self.acceptance_criteria, self.expected_impact = acceptance_criteria, expected_impact
+        self.status, self.filed_by, self.round_filed = status, filed_by, round_filed
+        self.depends_on, self.attempts = depends_on, attempts
 
     def to_json(self) -> str:
         return json.dumps(
@@ -120,13 +115,11 @@ def transition_issue(issue: Issue, new_status: str) -> None:
 MEMORY_HEADINGS = ("Directions Tried", "Evidence Against", "Promising Next", "Platform Notes")
 
 
-@dataclass
 class MemoryDoc:
     """Four fixed level-2 sections; serialize/parse round-trip exactly."""
 
-    sections: dict[str, str] = field(
-        default_factory=lambda: {h: "" for h in MEMORY_HEADINGS}
-    )
+    def __init__(self, sections: Optional[dict[str, str]] = None):
+        self.sections = {h: "" for h in MEMORY_HEADINGS} if sections is None else sections
 
     def serialize(self) -> str:
         blocks = []
@@ -161,13 +154,12 @@ class MemoryDoc:
 # -- best tracker ----------------------------------------------------------------
 
 
-@dataclass
 class BestTracker:
     """Keeps the best validated checkpoint; replacement needs a relative
     improvement beyond the noise floor, in the metric's declared direction."""
 
-    epsilon_rel: float = 0.005
-    best: Optional[Checkpoint] = None
+    def __init__(self, epsilon_rel: float = 0.005, best: Optional[Checkpoint] = None):
+        self.epsilon_rel, self.best = epsilon_rel, best
 
     def consider(self, cp: Checkpoint) -> bool:
         if self.best is None:
@@ -187,14 +179,14 @@ class BestTracker:
 # -- the per-round contract -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoundDirective:
+@checked
+class RoundDirective(NamedTuple):
     start: Optional[Checkpoint]  # None = continue from the current head
     task_text: str
     pass_criteria: tuple[str, ...]
     issue_id: Optional[int] = None
 
-    def __post_init__(self):
+    def _check(self):
         if not self.task_text.strip():
             raise PolicyError("directive task_text must be nonempty")
 
@@ -207,6 +199,16 @@ def _one_line(text: str) -> str:
     """An agent's free text as one line, so it cannot open a section of a
     markdown state file."""
     return " ".join(text.split())
+
+
+def _hints_in(section: str) -> set[str]:
+    """The hints of a memory section's ``- round N: <hint>`` lines."""
+    hints = set()
+    for line in section.splitlines():
+        head, sep, hint = line.partition(": ")
+        if sep and head.startswith("- round ") and head[len("- round "):].isdigit():
+            hints.add(hint)
+    return hints
 
 
 class Policy:
@@ -481,8 +483,11 @@ class IssueTrackerPolicy(Policy):
                     "Evidence Against",
                     f"- round {result.commit.round}: {issue.title} regressed the headline; reverted",
                 )
-            for hint in result.hints:
-                self.memory.append_line("Promising Next", f"- round {round_index}: {_one_line(hint)}")
+            known = _hints_in(self.memory.sections["Promising Next"])
+            for hint in map(_one_line, result.hints):
+                if hint not in known:  # an Evaluator repeating itself adds no line
+                    known.add(hint)
+                    self.memory.append_line("Promising Next", f"- round {round_index}: {hint}")
         else:
             issue.attempts += 1
             if issue.status == "in_progress":

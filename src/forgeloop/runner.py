@@ -23,9 +23,8 @@ import os
 import shlex
 import shutil
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from forgeloop.contract import TargetContract, validate_contract
 from forgeloop.errors import ForgeloopError
@@ -88,8 +87,7 @@ def agent_harness_provider(command_template: str, timeout_s: float, env_allowlis
     return provider
 
 
-@dataclass
-class RunOutcome:
+class RunOutcome(NamedTuple):
     rounds_run: int
     checkpoints: int
     best: Optional[Checkpoint]

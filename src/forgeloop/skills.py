@@ -13,8 +13,9 @@ body; ties break on (layer, name).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import yaml
 
@@ -53,22 +54,20 @@ class UnknownLayer(SkillsError):
     pass
 
 
-@dataclass(frozen=True)
-class SkillEntry:
+class SkillEntry(NamedTuple):
     layer: str
     name: str
     description: str
     body: str
     compatibility: tuple[tuple[str, str], ...] = ()
-    extra_frontmatter: dict = field(default_factory=dict)
+    extra_frontmatter: Mapping = MappingProxyType({})  # read-only: no shared mutable default
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.layer, self.name)
 
 
-@dataclass(frozen=True)
-class SkillLibrary:
+class SkillLibrary(NamedTuple):
     entries: tuple[SkillEntry, ...]
 
     def get(self, layer: str, name: str) -> SkillEntry | None:
@@ -78,8 +77,7 @@ class SkillLibrary:
         return None
 
 
-@dataclass(frozen=True)
-class DanglingLink:
+class DanglingLink(NamedTuple):
     source: tuple[str, str]
     target: tuple[str, str]
 

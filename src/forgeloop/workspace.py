@@ -25,9 +25,8 @@ import shutil
 import stat
 import subprocess
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from forgeloop.errors import ForgeloopError
 
@@ -73,26 +72,22 @@ _IGNORED = [
 ]
 
 
-@dataclass(frozen=True)
-class MountEntry:
+class MountEntry(NamedTuple):
     source: Path
     mount: Path  # relative to workspace root
     digest: str
 
 
-@dataclass(frozen=True)
-class MountManifest:
+class MountManifest(NamedTuple):
     entries: tuple[MountEntry, ...]
 
 
-@dataclass(frozen=True)
-class TamperFinding:
+class TamperFinding(NamedTuple):
     mount: str
     kind: str  # "modified" | "missing"
 
 
-@dataclass(frozen=True)
-class TamperReport:
+class TamperReport(NamedTuple):
     findings: tuple[TamperFinding, ...]
 
     @property
@@ -100,8 +95,7 @@ class TamperReport:
         return not self.findings
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(NamedTuple):
     commit: str
     round: int
     metric: float
@@ -356,8 +350,7 @@ def discard_worktree(ws: Workspace) -> None:
     ws._git("clean", "-fdq")
 
 
-@dataclass(frozen=True)
-class Change:
+class Change(NamedTuple):
     path: str
     kind: str  # "added" | "modified" | "deleted"
     line_delta: int

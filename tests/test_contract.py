@@ -89,11 +89,7 @@ def test_validate_clean_contract_is_empty(toy_contract):
 
 
 def test_validate_zero_retry_budget(toy_contract):
-    import dataclasses
-
-    bad = dataclasses.replace(
-        toy_contract, budgets=dataclasses.replace(toy_contract.budgets, retry_budget=0)
-    )
+    bad = toy_contract._replace(budgets=toy_contract.budgets._replace(retry_budget=0))
     report = validate_contract(bad)
     assert not report.ok
     assert any(v.subject == "RoundBudget" for v in report.violations)
@@ -101,36 +97,25 @@ def test_validate_zero_retry_budget(toy_contract):
 
 
 def test_validate_single_probe_prompt(toy_contract):
-    import dataclasses
-
-    bad = dataclasses.replace(toy_contract, probe_prompts=("only one",))
+    bad = toy_contract._replace(probe_prompts=("only one",))
     report = validate_contract(bad)
     assert any(v.subject == "probe_prompts" for v in report.violations)
 
 
 def test_validate_duplicate_probes_count_as_one(toy_contract):
-    import dataclasses
-
-    bad = dataclasses.replace(toy_contract, probe_prompts=("same", "same"))
+    bad = toy_contract._replace(probe_prompts=("same", "same"))
     assert not validate_contract(bad).ok
 
 
 def test_validate_agent_timeout_exceeding_round_limit(toy_contract):
-    import dataclasses
-
-    bad = dataclasses.replace(
-        toy_contract,
-        budgets=dataclasses.replace(
-            toy_contract.budgets, agent_timeout_s=7200, round_wall_clock_limit_s=3600
-        ),
+    bad = toy_contract._replace(
+        budgets=toy_contract.budgets._replace(agent_timeout_s=7200, round_wall_clock_limit_s=3600)
     )
     report = validate_contract(bad)
     assert any("agent_timeout" in v.detail for v in report.violations)
 
 
 def test_validate_missing_artifact_reported_as_data(tmp_path, toy_contract):
-    import dataclasses
-
-    bad = dataclasses.replace(toy_contract, checker=tmp_path / "vanished")
+    bad = toy_contract._replace(checker=tmp_path / "vanished")
     report = validate_contract(bad)
     assert any(v.subject == "checker" and "does not exist" in v.detail for v in report.violations)

@@ -1,7 +1,6 @@
 """Inner loop: reward-hack scanner, judge gates, evaluator, and the round
 engine driven by scripted stubs."""
 
-import dataclasses
 import os
 import time
 
@@ -282,10 +281,7 @@ def test_run_benchmark_failure(toy_workspace, toy_contract):
 
 
 def test_evaluate_collects_hints_and_profiler_output(toy_workspace, toy_contract, tmp_path):
-    import dataclasses
-
-    contract = dataclasses.replace(
-        toy_contract,
+    contract = toy_contract._replace(
         profiler_commands=("echo profiling {candidate_root}", "echo second-profiler-output"),
     )
     write_candidate(toy_workspace, toy.candidate_source(0.01))
@@ -340,7 +336,7 @@ def run_round(ws, contract, tmp_path, scripts, directive=None):
 
 
 def with_retries(contract, retry_budget):
-    return dataclasses.replace(contract, budgets=dataclasses.replace(contract.budgets, retry_budget=retry_budget))
+    return contract._replace(budgets=contract.budgets._replace(retry_budget=retry_budget))
 
 
 def roles_in(ledger_path):
@@ -398,11 +394,8 @@ def test_round_start_positioning_revert_carries_tree_digest(toy_workspace, toy_c
 
 
 def test_hanging_profiler_is_a_note_not_a_crash(toy_workspace, toy_contract, tmp_path):
-    import dataclasses
-
-    contract = dataclasses.replace(
-        toy_contract,
-        budgets=dataclasses.replace(toy_contract.budgets, round_wall_clock_limit_s=5),
+    contract = toy_contract._replace(
+        budgets=toy_contract.budgets._replace(round_wall_clock_limit_s=5),
         profiler_commands=("sleep 60",),
     )
     scripts = tmp_path / "scripts"
@@ -443,8 +436,8 @@ def assert_gone(pid_file):
 
 
 def short_limit(contract, seconds=1, **changes):
-    budgets = dataclasses.replace(contract.budgets, round_wall_clock_limit_s=seconds)
-    return dataclasses.replace(contract, budgets=budgets, **changes)
+    budgets = contract.budgets._replace(round_wall_clock_limit_s=seconds)
+    return contract._replace(budgets=budgets, **changes)
 
 
 def test_hanging_checker_is_unrunnable_and_leaves_no_survivor(toy_contract, tmp_path):

@@ -254,6 +254,38 @@ def test_issue_tracker_files_hints_under_promising_next(policy, toy_workspace):
     assert memory.sections["Evidence Against"] == ""
 
 
+def _validated_rounds_with_hints(policy, hints_per_round):
+    for k, hints in enumerate(hints_per_round):
+        if k:
+            file_issue(policy, f"issue {k}", "high", round_index=k - 1)
+        policy.end_round(policy.begin_round(k), validated(k, metric=100.0 + k, hints=hints), k, kept=True)
+    return policy.memory.sections["Promising Next"].splitlines()
+
+
+def test_a_repeated_hint_leaves_one_promising_next_line(policy, toy_workspace):
+    hint = "per-call process\nstartup dominates latency"
+    folded_twin = " per-call process startup dominates  latency"
+    lines = _validated_rounds_with_hints(policy, [(hint,), (hint,), (hint, folded_twin)])
+    assert lines == ["- round 0: per-call process startup dominates latency"]
+    memory = MemoryDoc.parse((toy_workspace.root / "MEMORY.md").read_text())
+    assert memory.sections["Promising Next"] == lines[0]
+
+
+def test_two_different_hints_leave_two_promising_next_lines(policy):
+    lines = _validated_rounds_with_hints(policy, [("batch the prefill",), ("fuse rope",), ("batch the prefill",)])
+    assert lines == ["- round 0: batch the prefill", "- round 1: fuse rope"]
+
+
+def test_ralph_history_keeps_every_repeated_hint(toy_workspace):
+    policy = RalphPolicy(toy_workspace, task_text="fixed")
+    for k in range(2):
+        policy.end_round(policy.begin_round(k), validated(k, hints=("batch the prefill",)), k, kept=True)
+    history = policy.begin_round(2).task_text.split("## HISTORY\n", 1)[1]
+    assert history.splitlines() == [
+        f"- round {k}: validated, metric 100 tok_per_s; hints: batch the prefill" for k in range(2)
+    ]
+
+
 def test_ralph_puts_hints_on_the_rounds_history_line(toy_workspace):
     policy = RalphPolicy(toy_workspace, task_text="fixed")
     policy.end_round(policy.begin_round(0), validated(0, hints=("batch the prefill", "fuse\nrope")), 0, kept=True)

@@ -1,6 +1,5 @@
 """Workspace: mounts, checkpoints, reverts, tamper detection, diffs."""
 
-import dataclasses
 import os
 import random
 import stat
@@ -323,7 +322,7 @@ def test_validated_round_git_calls(toy_workspace, toy_contract, tmp_path, monkey
     server = ToolServer(list(policy.served_toolset()))
     server.serve(str(tmp_path / "g.sock"))
     directive = policy.begin_round(0)
-    contract = dataclasses.replace(toy_contract, budgets=dataclasses.replace(toy_contract.budgets, retry_budget=1))
+    contract = toy_contract._replace(budgets=toy_contract.budgets._replace(retry_budget=1))
     agents = Agents(stub_harness_provider(scripts, 30), server=server, allowed_tools=policy.allowed_tools)
 
     calls = []
