@@ -46,10 +46,10 @@ def _positive_speed(raw: str) -> float:
 
 
 def cmd_run(args) -> int:
-    # Each subcommand imports what only it needs (here the loop's modules
-    # and yaml for the skills' front matter), so the read-only ones start
-    # fast. Every record is a NamedTuple or a plain class, cheap to define,
-    # so this import costs little beyond reading the modules.
+    # Each subcommand imports what only it needs (here the loop's modules),
+    # so the read-only ones start fast. Every record is a NamedTuple or a
+    # plain class, cheap to define, so this import costs little beyond
+    # reading the modules.
     from forgeloop.runner import DEFAULT_TASK, run_target
 
     try:
@@ -109,6 +109,10 @@ def cmd_status(args) -> int:
     else:
         print("best: none")
     print(f"issues: {summary.open_issues} open, {summary.in_progress_issues} in progress")
+    if summary.last_failure is not None:
+        round_index, status, detail = summary.last_failure
+        first_line = detail.split("\n", 1)[0]
+        print(f"last failure: round {round_index} {status}: {first_line}")
     if summary.last_event_at is not None:
         print(f"last event at: {summary.last_event_at:.3f}")
     return 0

@@ -198,12 +198,15 @@ class StatusSummary(NamedTuple):
     open_issues: int
     in_progress_issues: int
     last_event_at: Optional[float]
+    last_failure: Optional[tuple[int, str, str]] = None  # (round, status, detail)
 
 
 def status_summary(events: list[LedgerEvent]) -> StatusSummary:
     """Best is the checkpoint the last ``round_finished`` names as kept; ledgers
-    without ``best_commit`` fall back to the highest metric checkpointed."""
+    without ``best_commit`` fall back to the highest metric checkpointed. The
+    last failure is the last ``round_finished`` that carries a ``detail``."""
     current_round = None
+    last_failure = None
     best: Optional[tuple[str, float, str, bool]] = None
     checkpoints: dict[str, tuple[str, float, str, bool]] = {}
     kept: Optional[dict] = None  # the last round_finished payload naming the kept checkpoint
@@ -223,6 +226,8 @@ def status_summary(events: list[LedgerEvent]) -> StatusSummary:
         elif ev.kind == "round_finished":
             if "best_commit" in ev.payload:
                 kept = ev.payload
+            if "detail" in ev.payload:
+                last_failure = (ev.round, str(ev.payload.get("status")), str(ev.payload["detail"]))
             counts = ev.payload.get("backlog")
             if isinstance(counts, dict):
                 backlog["open"] = int(counts.get("open", 0))
@@ -237,6 +242,7 @@ def status_summary(events: list[LedgerEvent]) -> StatusSummary:
         open_issues=backlog["open"],
         in_progress_issues=backlog["in_progress"],
         last_event_at=last_ts,
+        last_failure=last_failure,
     )
 
 

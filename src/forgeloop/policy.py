@@ -272,6 +272,7 @@ class IssueTrackerPolicy(Policy):
         self.memory = MemoryDoc()
         self._issues_path = workspace.root / "ISSUES.jsonl"
         self._memory_path = workspace.root / "MEMORY.md"
+        self._memory_written: Optional[str] = None  # MEMORY.md as last read or written
         self._load_state()
 
     # -- persistence (crash recovery) -----------------------------------
@@ -284,14 +285,19 @@ class IssueTrackerPolicy(Policy):
                     self.issues[issue.id] = issue
                     self._next_id = max(self._next_id, issue.id + 1)
         if self._memory_path.exists():
-            self.memory = MemoryDoc.parse(self._memory_path.read_text(encoding="utf-8"))
+            self._memory_written = self._memory_path.read_text(encoding="utf-8")
+            self.memory = MemoryDoc.parse(self._memory_written)
 
-    def _persist(self) -> None:
-        self._issues_path.write_text(
-            "".join(issue.to_json() + "\n" for issue in sorted(self.issues.values(), key=lambda i: i.id)),
-            encoding="utf-8",
-        )
-        self._memory_path.write_text(self.memory.serialize(), encoding="utf-8")
+    def _persist(self, issue: Issue) -> None:
+        """Append ``issue``'s new state (the last line per id wins on load) and
+        rewrite MEMORY.md only when its text changed: on a filesystem that
+        discards freed blocks synchronously, every rewrite waits on a discard."""
+        with self._issues_path.open("a", encoding="utf-8") as fh:
+            fh.write(issue.to_json() + "\n")
+        memory = self.memory.serialize()
+        if memory != self._memory_written:
+            self._memory_path.write_text(memory, encoding="utf-8")
+            self._memory_written = memory
 
     # -- tool surface -----------------------------------------------------
 
@@ -315,7 +321,7 @@ class IssueTrackerPolicy(Policy):
             raise HandlerError("depends_on would create a dependency cycle")
         self._next_id += 1
         self.issues[issue.id] = issue
-        self._persist()
+        self._persist(issue)
         return {"issue_id": issue.id}
 
     def _creates_cycle(self, candidate: Issue) -> bool:
@@ -338,7 +344,7 @@ class IssueTrackerPolicy(Policy):
         if issue is None:
             raise HandlerError(f"unknown issue id {args['issue_id']}")
         transition_issue(issue, args["status"])
-        self._persist()
+        self._persist(issue)
         return {"issue_id": issue.id, "status": issue.status}
 
     # Defined on this class too: overheadbench's tracer wraps only methods a
@@ -441,7 +447,7 @@ class IssueTrackerPolicy(Policy):
 
     def begin_round(self, round_index: int) -> RoundDirective:
         if round_index == 0 and not self.issues and self.seed_task:
-            self.issues[self._next_id] = Issue(
+            bootstrap = Issue(
                 id=self._next_id,
                 title=BOOTSTRAP_TITLE,
                 rationale="An empty workspace has nothing to optimize; start from a "
@@ -450,12 +456,13 @@ class IssueTrackerPolicy(Policy):
                 expected_impact="high",
                 round_filed=0,
             )
+            self.issues[bootstrap.id] = bootstrap
             self._next_id += 1
-            self._persist()
+            self._persist(bootstrap)
         issue = self.select_issue(round_index)
         transition_issue(issue, "in_progress")
         self._current = issue
-        self._persist()
+        self._persist(issue)
         task_text = f"{issue.title}\n\n{issue.rationale}".strip()
         return RoundDirective(
             start=None,
@@ -501,7 +508,7 @@ class IssueTrackerPolicy(Policy):
             else:  # error
                 detail = result.feedback[0] if result.feedback else "environment error"
                 self.memory.append_line("Platform Notes", f"- {issue.title}: round errored; {detail}")
-        self._persist()
+        self._persist(issue)
 
     def backlog_counts(self) -> dict[str, int]:
         counts = {s: 0 for s in STATUSES}

@@ -54,6 +54,7 @@ DEFAULT_TASK = (
 )
 
 _ROLES = {role.value.lower(): role for role in AgentRole}
+_DETAIL_TAIL = 2000  # characters of a failed round's feedback kept in its round_finished event
 
 
 def stub_harness_provider(scripts_dir: Path, timeout_s: float):
@@ -203,19 +204,18 @@ def run_target(
                     revert(ws, tracker.best, reason, ledger, round_index)
             policy.end_round(directive, result, round_index, kept)
             best = tracker.best
-            ledger.append(
-                "round_finished",
-                round_index,
-                {
-                    "status": result.status.value,
-                    "issue_id": directive.issue_id,
-                    "transition": policy.round_transition(directive),
-                    "metric": result.metric.metric if result.metric else None,
-                    "best_metric": best.metric if best else None,
-                    "best_commit": best.commit if best else None,
-                    "backlog": policy.backlog_counts(),
-                },
-            )
+            finished = {
+                "status": result.status.value,
+                "issue_id": directive.issue_id,
+                "transition": policy.round_transition(directive),
+                "metric": result.metric.metric if result.metric else None,
+                "best_metric": best.metric if best else None,
+                "best_commit": best.commit if best else None,
+                "backlog": policy.backlog_counts(),
+            }
+            if result.status is not RoundStatus.VALIDATED:
+                finished["detail"] = "\n".join(result.feedback)[-_DETAIL_TAIL:]
+            ledger.append("round_finished", round_index, finished)
     finally:
         server.shutdown()
         ledger.close()

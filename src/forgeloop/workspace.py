@@ -148,15 +148,14 @@ class Workspace:
     # -- git plumbing -------------------------------------------------
 
     def _git(self, *args: str, check: bool = True, env: dict | None = None) -> subprocess.CompletedProcess:
-        full_env = os.environ.copy()
-        if env:
-            full_env.update(env)
+        # Only a call that adds variables pays for a copy of the environment;
+        # every other one lets git inherit it.
         proc = subprocess.run(
             ["git", *args],
             cwd=self.root,
             capture_output=True,
             text=True,
-            env=full_env,
+            env={**os.environ, **env} if env else None,
         )
         if check and proc.returncode != 0:
             raise WorkspaceError(f"git {' '.join(args)} failed: {proc.stderr.strip()}")

@@ -137,6 +137,25 @@ def test_status_names_the_checkpoint_the_loop_kept(tmp_path, capsys):
     assert best == [f"best: 100 tok_per_s at {round0[:12]}"]
 
 
+def test_status_shows_the_last_failure(tmp_path, capsys):
+    config = toy.write_target(tmp_path / "target", max_rounds=1, retry_budget=1, ref_delay=0.0)
+    (tmp_path / "target" / "benchmark").write_text("#!/bin/sh\necho 'GPU OOM in kernel foo' >&2\nexit 7\n")
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    toy.write_script(
+        scripts / "implementer_r0_a1.jsonl",
+        [{"step": "apply_patch", "patch": toy.new_file_diff("candidate/run", toy.candidate_source(0.0))}],
+    )
+    ledger = tmp_path / "ledger.jsonl"
+    argv = ["run", "--config", str(config), "--mode", "stub", "--stub-scripts", str(scripts)]
+    assert run_cli(argv + ["--workspace", str(tmp_path / "ws"), "--ledger", str(ledger)]) == 2
+    capsys.readouterr()
+    assert run_cli(["status", "--ledger", str(ledger)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "last failure: round 0 error: benchmark exited 7: GPU OOM in kernel foo" in lines
+    assert "best: none" in lines
+
+
 def test_replay_valid_ledger_exit_zero(success_run, capsys):
     _, ledger = success_run
     assert run_cli(["replay", "--ledger", str(ledger), "--speed", "inf"]) == 0

@@ -337,6 +337,24 @@ def test_state_persists_and_recovers(toy_workspace):
     assert (toy_workspace.root / "MEMORY.md").exists()
 
 
+def test_state_writes_append_issues_and_skip_unchanged_memory(toy_workspace):
+    policy = IssueTrackerPolicy(toy_workspace)
+    directive = policy.begin_round(0)
+    policy.end_round(directive, failed(), 0, kept=False)
+    memory_path = toy_workspace.root / "MEMORY.md"
+    issues_path = toy_workspace.root / "ISSUES.jsonl"
+    memory_path.write_text("untouched\n")
+    lines_before = issues_path.read_text().splitlines()
+
+    directive = policy.begin_round(1)  # changes the issue, not the memory
+
+    assert memory_path.read_text() == "untouched\n"
+    lines_after = issues_path.read_text().splitlines()
+    assert lines_after[: len(lines_before)] == lines_before  # appended, not rewritten
+    assert [Issue.from_json(line).status for line in lines_after[len(lines_before):]] == ["in_progress"]
+    assert IssueTrackerPolicy(toy_workspace).issues[directive.issue_id].status == "in_progress"
+
+
 def test_depends_on_unknown_or_cyclic_rejected(policy):
     with pytest.raises(HandlerError):
         file_issue(policy, "dangling", "low", deps=(42,))

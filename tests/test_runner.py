@@ -246,6 +246,47 @@ def test_benchmark_prose_only_is_error_round(tmp_path):
     assert finished.payload["status"] == "error"
 
 
+OOM_BENCHMARK = "#!/bin/sh\necho 'GPU OOM in kernel foo' >&2\nexit 7\n"
+
+
+def test_failed_benchmark_leaves_its_diagnostic_in_the_ledger(tmp_path):
+    import fuzz
+
+    config = fuzz.write_fuzz_target(tmp_path / "target", max_rounds=1, retry_budget=1)
+    (tmp_path / "target" / "benchmark").write_text(OOM_BENCHMARK)
+    scripts = tmp_path / "scripts"
+    correct_patch_script(scripts, source=fuzz.correct_candidate(1))
+    run_target(
+        load_contract(config),
+        workspace_root=tmp_path / "ws",
+        ledger_path=tmp_path / "ledger.jsonl",
+        mode="stub",
+        stub_scripts=scripts,
+    )
+    finished = [e for e in read_ledger(tmp_path / "ledger.jsonl") if e.kind == "round_finished"]
+    assert finished[0].payload["status"] == "error"
+    assert "exited 7" in finished[0].payload["detail"]
+    assert "GPU OOM in kernel foo" in finished[0].payload["detail"]
+
+
+def test_failed_budget_detail_is_the_feedback_tail(tmp_path):
+    contract = fast_target(tmp_path, max_rounds=1, retry_budget=2)
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    run_target(
+        contract,
+        workspace_root=tmp_path / "ws",
+        ledger_path=tmp_path / "ledger.jsonl",
+        mode="stub",
+        stub_scripts=scripts,
+    )
+    events = read_ledger(tmp_path / "ledger.jsonl")
+    finished = [e for e in events if e.kind == "round_finished"][0]
+    assert finished.payload["status"] == "failed_budget"
+    details = [v["detail"] for e in events if e.kind == "verdict" for v in e.payload["violations"]]
+    assert details and finished.payload["detail"] == "\n".join(details)[-2000:]
+
+
 def test_validated_round_with_no_changes_is_error(tmp_path):
     import fuzz
 
@@ -281,6 +322,59 @@ def test_validated_round_with_no_changes_is_error(tmp_path):
     events = read_ledger(tmp_path / "ledger.jsonl")
     statuses = {e.round: e.payload["status"] for e in events if e.kind == "round_finished"}
     assert statuses == {0: "validated", 1: "error"}
+    details = {e.round: e.payload.get("detail") for e in events if e.kind == "round_finished"}
+    assert details == {0: None, 1: "round 1 left the tree unchanged"}
+
+
+def test_issue_tracker_state_reloads_after_a_run(tmp_path, monkeypatch):
+    import forgeloop.runner as runner
+    from forgeloop.policy import IssueTrackerPolicy
+
+    made = []
+    make_policy = runner.make_policy
+
+    def capture(name, ws, *args):
+        made.append((make_policy(name, ws, *args), ws))
+        return made[-1][0]
+
+    monkeypatch.setattr(runner, "make_policy", capture)
+    contract = fast_target(tmp_path, max_rounds=3, retry_budget=1)
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    toy.write_script(
+        scripts / "implementer_r0_a1.jsonl",
+        [
+            {"step": "apply_patch", "patch": toy.new_file_diff("candidate/run", toy.candidate_source(0.0))},
+            {
+                "step": "call_tool",
+                "name": "file_issue",
+                "arguments": {
+                    "title": "later work",
+                    "rationale": "keep the backlog going",
+                    "acceptance_criteria": ["checker passes"],
+                    "expected_impact": "low",
+                },
+            },
+        ],
+    )
+    # Rounds 1 and 2 change nothing, so the filed issue errors twice.
+    outcome = run_target(
+        contract,
+        workspace_root=tmp_path / "ws",
+        ledger_path=tmp_path / "ledger.jsonl",
+        mode="stub",
+        stub_scripts=scripts,
+    )
+    assert outcome.rounds_run == 3
+    policy, ws = made[0]
+    fresh = IssueTrackerPolicy(ws)
+
+    def state(p):
+        return {i.id: (i.status, i.attempts) for i in p.issues.values()}
+
+    assert state(fresh) == state(policy) == {1: ("done", 0), 2: ("open", 2)}
+    assert fresh.memory.sections == policy.memory.sections
+    assert fresh.memory.serialize() == (ws.root / "MEMORY.md").read_text()
 
 
 def test_workspace_head_matches_last_checkpoint(tmp_path):

@@ -1,4 +1,10 @@
-"""Skills library: loader, lexical retrieval, link validation."""
+"""Skills library: loader, frontmatter reader, lexical retrieval, link validation."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -155,24 +161,187 @@ def test_shipped_library_loads_every_layer_and_resolves():
     assert validate_library(lib) == []
 
 
-def test_front_matter_loaders_agree(monkeypatch, tmp_path):
-    # libyaml's loader is used when PyYAML has it; the pure-Python one is the
-    # fallback. Both give the same library and the same malformed-YAML error.
-    import yaml
+# -- frontmatter subset reader ---------------------------------------------
 
-    from forgeloop import skills
+# Inputs the reader accepts; each must read as ``yaml.safe_load`` reads it.
+AGREED_FRONTMATTER = [
+    "name: x\ndescription: plain words, with commas and a-dash\n",
+    "name: x\ndescription: 'a: b # c'\n",
+    'name: x\ndescription: "a: b # c"\n',
+    "description: 'it''s quoted'\n",
+    "description: \"it's double\"\n",
+    "description: '  padded  '\n",
+    "description: ''\n",
+    "description: a#b c:d e::f [g] {h}\n",
+    "description: -dash ?query :colon ~tilde\n",
+    "description: caf\u00e9 \u2014 \U0001f600\n",
+    "version: 3\nzero: 0\nneg: -12\nplus: +7\n",
+    "leading_zero: 089\n",
+    "t: true\nT: True\nf: FALSE\n",
+    "n1: ~\nn2: null\nn3: Null\nn4: NULL\nn5:\n",
+    "nul: nULL\nyesish: yess\n",
+    "compatibility:\n  - a/b\n  - c/d\n",
+    "compatibility:\n- a/b\n- c/d\nafter: 1\n",
+    "compatibility:\n    - 'quoted/link'\n    - \"dq/link\"\n    - 5\n    - true\n",
+    "compatibility:\n  -\n  - x\n",
+    "compatibility:\n",
+    "compatibility:\n\n  # a comment\n  - a/b\n\n  - c/d\n",
+    "# leading comment\nname: x\n  # indented comment\n\ndescription: d   \n",
+    "name: first\nname: second\n",
+    "compatibility:\n  - a/b\ncompatibility:\n  - c/d\n",
+    "compatibility:\n  - a/b\ncompatibility: none\n",
+    "-k: v\nk-: v\n_: v\n",
+    "words:   several   spaces  inside  \n",
+    "",
+    "\n\n# only comments\n",
+]
 
-    if not hasattr(yaml, "CSafeLoader"):
-        pytest.skip("PyYAML was built without libyaml")
-    assert skills._FRONTMATTER_LOADER is yaml.CSafeLoader
+# One input per construct outside the subset.
+REFUSED_FRONTMATTER = {
+    "tab": "name: x\ndescription:\td\n",
+    "next-line break": "description: a\x85b\n",
+    "byte-order mark": "\ufeffname: x\n",
+    "nested mapping": "meta:\n  author: someone\n",
+    "deeper indentation": "compatibility:\n  - a/b\n    - c/d\n",
+    "uneven list indentation": "compatibility:\n  - a/b\n - c/d\n",
+    "item without a bare key": "name: x\n- a/b\n",
+    "document is a list": "- a/b\n",
+    "indented key": "  name: x\n",
+    "space before colon": "name : x\n",
+    "no space after colon": "name:x\n",
+    "quoted key": "'name': x\n",
+    "flow sequence": "compatibility: [a/b, c/d]\n",
+    "flow mapping": "meta: {a: 1}\n",
+    "literal block scalar": "description: |\n  text\n",
+    "folded block scalar": "description: >\n  text\n",
+    "anchor": "description: &anchor d\n",
+    "alias": "description: *anchor\n",
+    "tag": "description: !!str d\n",
+    "directive": "%YAML 1.1\nname: x\n",
+    "document marker": "--- x\nname: x\n",
+    "multi-line plain scalar": "description: one\n  two\n",
+    "multi-line quoted scalar": "description: 'one\n  two'\n",
+    "backslash in double quotes": 'description: "a\\nb"\n',
+    "text after closing quote": "description: 'a' b\n",
+    "trailing comment": "description: d # note\n",
+    "colon-space in plain": "description: a: b\n",
+    "ends with colon": "description: see:\n",
+    "starts with indicator": "description: @handle\n",
+    "sequence entry as value": "description: - a\n",
+    "YAML 1.1 yes": "flag: yes\n",
+    "YAML 1.1 off": "flag: Off\n",
+    "float": "ratio: 1.5\n",
+    "infinity": "ratio: .inf\n",
+    "not a number": "ratio: .NaN\n",
+    "hex int": "mask: 0x1f\n",
+    "octal int": "mode: 0755\n",
+    "binary int": "bits: 0b101\n",
+    "underscored int": "count: 1_000\n",
+    "sexagesimal int": "duration: 1:30\n",
+    "timestamp": "date: 2026-10-19\n",
+    "merge key value": "merge: <<\n",
+    "value key": "value: =\n",
+    "key that reads as an int": "3: three\n",
+    "key that reads as a bool": "true: x\n",
+    "unclosed flow sequence": "name: [unclosed\ndescription: d\n",
+}
+
+
+def _typed(value):
+    """A value with the type of every scalar kept, so True never equals 1."""
+    if isinstance(value, dict):
+        return {k: _typed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return (type(value).__name__, value)
+
+
+@pytest.mark.parametrize("text", AGREED_FRONTMATTER)
+def test_reader_agrees_with_safe_load(tmp_path, text):
+    yaml = pytest.importorskip("yaml")
+    from forgeloop.skills import _read_frontmatter
+
+    assert _typed(_read_frontmatter(tmp_path / "SKILL.md", text)) == _typed(yaml.safe_load(text))
+
+
+@pytest.mark.parametrize("text", list(REFUSED_FRONTMATTER.values()), ids=list(REFUSED_FRONTMATTER))
+def test_reader_refuses_outside_subset(tmp_path, text):
     bad = tmp_path / "tooling" / "broken"
     bad.mkdir(parents=True)
-    (bad / "SKILL.md").write_text("---\nname: [unclosed\ndescription: d\n---\nbody\n")
-    libraries = []
-    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
-        monkeypatch.setattr(skills, "_FRONTMATTER_LOADER", loader)
-        libraries.append(load_library(default_library_path()).entries)
-        with pytest.raises(MalformedFrontmatter, match="not valid YAML"):
-            load_library(tmp_path)
-    assert len(libraries[0]) == 13
-    assert libraries[0] == libraries[1]
+    (bad / "SKILL.md").write_text(f"---\n{text}---\nbody\n", encoding="utf-8")
+    with pytest.raises(MalformedFrontmatter, match=r"broken.SKILL\.md: line \d+: ") as exc:
+        load_library(tmp_path)
+    assert exc.value.path == bad / "SKILL.md"
+
+
+def test_reader_names_the_file_line(tmp_path):
+    d = tmp_path / "tooling" / "lined"
+    d.mkdir(parents=True)
+    (d / "SKILL.md").write_text("---\nname: lined\ndescription: d\nflag: yes\n---\nbody\n")
+    with pytest.raises(MalformedFrontmatter, match="line 4: 'yes' is not"):
+        load_library(tmp_path)
+
+
+def test_reader_values_without_pyyaml(tmp_path):
+    from forgeloop.skills import _read_frontmatter
+
+    text = (
+        "name: x\ndescription: 'a: b'\nversion: -3\nflag: true\nnone: ~\nname: y\n"
+        "compatibility:\n- a/b\n-\n"
+    )
+    assert _read_frontmatter(tmp_path / "SKILL.md", text) == {
+        "name": "y",
+        "description": "a: b",
+        "version": -3,
+        "flag": True,
+        "none": None,
+        "compatibility": ["a/b", None],
+    }
+    assert _read_frontmatter(tmp_path / "SKILL.md", "# nothing\n") is None
+
+
+def test_bundled_library_matches_pyyaml():
+    yaml = pytest.importorskip("yaml")
+    from forgeloop.skills import _read_frontmatter
+
+    paths = sorted(default_library_path().glob("*/*/SKILL.md"))
+    assert len(paths) == 13
+    for path in paths:
+        front = path.read_text(encoding="utf-8").split("\n---\n", 1)[0][4:]
+        assert _typed(_read_frontmatter(path, front)) == _typed(yaml.safe_load(front)), path
+    entries = load_library(default_library_path()).entries
+    assert len(entries) == 13
+    by_key = {(p.parent.parent.name, yaml.safe_load(p.read_text().split("\n---\n", 1)[0][4:])["name"]): p
+              for p in paths}
+    for entry in entries:
+        want = yaml.safe_load(by_key[entry.key].read_text().split("\n---\n", 1)[0][4:])
+        assert entry.description == want["description"]
+        assert [f"{layer}/{name}" for layer, name in entry.compatibility] == want.get("compatibility", [])
+        assert dict(entry.extra_frontmatter) == {
+            k: v for k, v in want.items() if k not in ("name", "description", "compatibility")
+        }
+
+
+def test_run_path_does_not_load_yaml():
+    code = (
+        "import sys\n"
+        "import forgeloop.cli, forgeloop.runner\n"
+        "from forgeloop.skills import default_library_path, load_library\n"
+        "assert len(load_library(default_library_path()).entries) == 13\n"
+        "assert 'yaml' not in sys.modules, 'yaml was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": "src"},
+        cwd=Path(__file__).resolve().parent.parent,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_imports_yaml():
+    src = Path(__file__).resolve().parent.parent / "src" / "forgeloop"
+    for path in src.rglob("*.py"):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            assert not re.match(r"\s*(import yaml|from yaml\b)", line), path

@@ -339,3 +339,20 @@ def test_validated_round_git_calls(toy_workspace, toy_contract, tmp_path, monkey
         server.shutdown()
     assert result.status is RoundStatus.VALIDATED
     assert len(calls) <= 13, calls
+
+
+def test_git_copies_the_environment_only_to_add_variables(toy_workspace, monkeypatch):
+    import forgeloop.workspace as workspace
+
+    envs = []
+    run = subprocess.run
+
+    def recording(argv, **kwargs):
+        envs.append(kwargs.get("env"))
+        return run(argv, **kwargs)
+
+    monkeypatch.setattr(workspace.subprocess, "run", recording)
+    toy_workspace._git("rev-parse", "HEAD")
+    toy_workspace.worktree_digest()
+    assert envs[0] is None
+    assert envs[1:] and all(env["PATH"] == os.environ["PATH"] and "GIT_INDEX_FILE" in env for env in envs[1:])
