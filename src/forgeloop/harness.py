@@ -5,7 +5,9 @@ file, the harness command template is expanded with the workspace root, the
 prompt path, and the tool endpoint, and the child runs inside the workspace
 with a sanitized environment. Structured results come back exclusively
 through the tool endpoint (``result/emit``); stdout is never parsed for
-meaning, and the tail of stderr goes to the ledger.
+meaning. A turn leaves two records: the tool server's session, in memory,
+holds its tool calls and emitted result, and its ``invocation`` ledger
+event is the durable account, stderr tail included.
 
 The scripted stub (:mod:`forgeloop.stubagent`) is a drop-in harness for
 offline tests: it replays a JSONL step script (apply_patch / call_tool /
@@ -25,6 +27,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from forgeloop.errors import ForgeloopError, checked
+from forgeloop.mcp import Session, ToolServer
 from forgeloop.skills import SkillEntry
 
 
@@ -47,12 +50,6 @@ class AgentRole(enum.Enum):
     EVALUATOR = "Evaluator"
 
 
-class ExitKind(enum.Enum):
-    COMPLETED = "completed"
-    TIMEOUT = "timeout"
-    CRASHED = "crashed"
-
-
 class PromptBundle(NamedTuple):
     """Everything an invocation's prompt is built from; fresh per turn."""
 
@@ -62,26 +59,6 @@ class PromptBundle(NamedTuple):
     skills_excerpts: tuple[SkillEntry, ...]
     feedback: Optional[str]
     instructions: str
-
-
-class AgentInvocation(NamedTuple):
-    """One agent turn: its accounting and what it left behind."""
-
-    role: AgentRole
-    round: int
-    started: float
-    ended: float
-    exit_kind: ExitKind
-    exit_code: Optional[int]  # None on timeout
-    tool_calls: int
-    prompt_digest: str
-    result: Optional[object] = None  # final structured result from result/emit
-    tool_log: tuple = ()  # ToolLogEntry sequence observed at the endpoint
-    stderr: str = ""
-
-    @property
-    def duration(self) -> float:
-        return self.ended - self.started
 
 
 @checked
@@ -156,21 +133,22 @@ def invoke_agent(
     bundle: PromptBundle,
     workspace_root: Path,
     round_index: int,
-    server=None,
+    server: ToolServer,
     ledger=None,
     allowed_tools: Optional[Sequence[str]] = None,
     attempt: int = 1,
-) -> AgentInvocation:
-    """Run one agent turn and account for it.
+) -> Session:
+    """Run one agent turn; return its tool session.
 
-    The child is launched in its own session group so a timeout can kill the
-    whole process tree; on timeout the worktree is left as-is for the Judge
-    to inspect. When ``server`` is given, a tool session brackets the spawn
-    and supplies the tool-call count and the final structured result, and
-    ``{endpoint}`` expands to its socket path (to ``""`` without a server).
+    The session on ``server`` brackets the spawn and is the turn's record:
+    its tool calls and the result it emitted. The ``invocation`` event on
+    ``ledger`` is the turn's account: exit kind and code, stderr tail,
+    duration, tool-call count and prompt digest. The child is launched in
+    its own session group so a timeout can kill the whole process tree; on
+    timeout the worktree is left as-is for the Judge to inspect.
+    ``{endpoint}`` expands to the server's socket path (``""`` when unbound).
     """
     document = render_prompt(bundle)
-    digest = prompt_digest(document)
     prompts_dir = workspace_root / ".prompts"
     prompts_dir.mkdir(exist_ok=True)
     prompt_file = prompts_dir / f"{bundle.role.value.lower()}-r{round_index}-a{attempt}.md"
@@ -181,7 +159,7 @@ def invoke_agent(
     substitutions = {
         "{workspace}": str(workspace_root),
         "{prompt_file}": str(prompt_file),
-        "{endpoint}": getattr(server, "socket_path", None) or "",
+        "{endpoint}": server.socket_path or "",
         "{role}": bundle.role.value,
     }
     command = []
@@ -190,38 +168,18 @@ def invoke_agent(
             token = token.replace(placeholder, value)
         command.append(token)
 
-    if server is not None:
-        server.begin_session(bundle.role.value, round_index, allowed_tools)
-
+    server.begin_session(bundle.role.value, round_index, allowed_tools)
     # A wall-clock stamp for the ledger; the duration comes from the
     # monotonic clock, so a clock step during the turn cannot skew it.
     started = time.time()
     try:
         done = run_bounded(command, workspace_root, cfg.timeout_s, env=_sanitized_env(cfg.env_allowlist))
     except OSError as exc:
-        if server is not None:
-            server.end_session()
+        server.end_session()
         raise SpawnFailed(f"cannot launch harness {command[0]!r}: {exc}") from exc
+    session = server.end_session()
 
-    exit_kind = ExitKind.COMPLETED
-    if done.timed_out:
-        exit_kind = ExitKind.TIMEOUT
-    elif done.returncode != 0:
-        exit_kind = ExitKind.CRASHED
-    session = server.end_session() if server is not None else None
-    invocation = AgentInvocation(
-        role=bundle.role,
-        round=round_index,
-        started=started,
-        ended=started + done.duration_s,
-        exit_kind=exit_kind,
-        exit_code=done.returncode,
-        tool_calls=session.tool_calls if session else 0,
-        prompt_digest=digest,
-        result=session.emitted_result if session else None,
-        tool_log=tuple(session.tool_log) if session else (),
-        stderr=done.stderr,
-    )
+    exit_kind = "timeout" if done.timed_out else "crashed" if done.returncode else "completed"
     if ledger is not None:
         ledger.append(
             "invocation",
@@ -230,16 +188,16 @@ def invoke_agent(
                 "role": bundle.role.value,
                 "attempt": attempt,
                 "started": started,
-                "ended": invocation.ended,
-                "duration_s": invocation.duration,
-                "exit_kind": exit_kind.value,
+                "ended": started + done.duration_s,
+                "duration_s": done.duration_s,
+                "exit_kind": exit_kind,
                 "exit_code": done.returncode,
                 "stderr_tail": done.stderr[-_STDERR_TAIL:],
-                "tool_calls": invocation.tool_calls,
-                "prompt_digest": digest,
+                "tool_calls": session.tool_calls,
+                "prompt_digest": prompt_digest(document),
             },
         )
-    return invocation
+    return session
 
 
 class Completed(NamedTuple):

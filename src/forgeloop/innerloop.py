@@ -33,7 +33,6 @@ from forgeloop.errors import ForgeloopError, checked
 from forgeloop.gates.metrics import MetricParseError, MetricReport, parse_metric_line
 from forgeloop.harness import (
     AgentRole,
-    AgentInvocation,
     Completed,
     HarnessConfig,
     PromptBundle,
@@ -41,6 +40,7 @@ from forgeloop.harness import (
     invoke_agent,
     run_bounded,
 )
+from forgeloop.mcp import Session, ToolServer
 from forgeloop.skills import SkillLibrary, retrieve
 from forgeloop.workspace import (
     Checkpoint,
@@ -117,14 +117,14 @@ HarnessProvider = Callable[[AgentRole, int, int], HarnessConfig]
 class Agents(NamedTuple):
     """How a round reaches its agents: the harness for each (role, round,
     attempt), the run's tool server and ledger, and the tools a role may
-    call (``None``: every served tool)."""
+    call (``None``: every served tool). A turn returns its tool session."""
 
     harnesses: HarnessProvider
-    server: object = None
+    server: ToolServer
     ledger: object = None
     allowed_tools: Callable[[AgentRole], Optional[Sequence[str]]] = lambda role: None
 
-    def turn(self, ws: Workspace, bundle: PromptBundle, round_index: int, attempt: int = 1) -> AgentInvocation:
+    def turn(self, ws: Workspace, bundle: PromptBundle, round_index: int, attempt: int = 1) -> Session:
         return invoke_agent(
             self.harnesses(bundle.role, round_index, attempt),
             bundle,
@@ -163,6 +163,11 @@ class ScanReport(NamedTuple):
     unchecked: tuple[str, ...]
 
 
+# A failed build or benchmark keeps the end of its stderr, where the error
+# is, short enough that the whole message fits in round_finished's detail.
+_STDERR_TAIL = 1800
+
+
 def _run_gate(argv, cwd, timeout_s: float, **kwargs) -> Completed:
     """``run_bounded`` for a gate child, whose callers treat a missed
     deadline like a failed start: both raise OSError."""
@@ -187,7 +192,7 @@ def process_probe_runner(candidate_root: Path, timeout_s: float = 30.0) -> Probe
             raise ProbeRunFailed(f"probe run failed: {exc}") from exc
         if done.returncode != 0:
             raise ProbeRunFailed(
-                f"probe run exited {done.returncode}: {done.stderr.decode(errors='replace')[:400]}"
+                f"probe run exited {done.returncode}: {done.stderr.decode(errors='replace')[-400:]}"
             )
         return ProbeResult(prompt=prompt, output=done.stdout, latency_s=done.duration_s)
 
@@ -275,7 +280,7 @@ def _run_build(ws: Workspace, timeout_s: float) -> Optional[Violation]:
     except OSError as exc:
         return Violation(ACCURACY, f"build step failed to run: {exc}")
     if done.returncode != 0:
-        return Violation(ACCURACY, f"build failed ({done.returncode}): {done.stderr[:2000]}")
+        return Violation(ACCURACY, f"build failed ({done.returncode}): {done.stderr[-_STDERR_TAIL:]}")
     return None
 
 
@@ -307,9 +312,9 @@ def judge(
     round_index: int,
     attempt: int,
     scan_config: ScanConfig = ScanConfig(),
-) -> tuple[Verdict, Optional[AgentInvocation], tuple[str, ...]]:
-    """Run the four correctness gates; returns the verdict, the judge agent's
-    invocation, and any unchecked-scan notes."""
+) -> Verdict:
+    """Run the four correctness gates in order. Unchecked-scan notes reach
+    the Judge agent's prompt; a tampered mount ends the gates before it."""
     violations: list[Violation] = []
     notes: list[str] = []
     timeout = contract.budgets.round_wall_clock_limit_s
@@ -328,7 +333,7 @@ def judge(
             # tamper report over an environment error when digests disagree.
             tamper = _tamper_violations(ws)
             if tamper:
-                return Verdict(violations=tuple(violations + tamper)), None, tuple(notes)
+                return Verdict(violations=tuple(violations + tamper))
             raise
         if rc != 0:
             violations.append(Violation(ACCURACY, stderr.strip() or f"checker exited {rc}"))
@@ -336,7 +341,7 @@ def judge(
     # (2) mounts: tampering invalidates everything else this round.
     tamper = _tamper_violations(ws)
     if tamper:
-        return Verdict(violations=tuple(violations + tamper)), None, tuple(notes)
+        return Verdict(violations=tuple(violations + tamper))
 
     # (3) deterministic reward-hack scan.
     if candidate_runnable:
@@ -374,10 +379,9 @@ def judge(
         feedback=None,
         instructions=contract.instructions,
     )
-    invocation = agents.turn(ws, bundle, round_index, attempt)
-    violations.extend(_parse_agent_verdict(invocation.result))
-
-    return Verdict(violations=tuple(violations)), invocation, tuple(notes)
+    session = agents.turn(ws, bundle, round_index, attempt)
+    violations.extend(_parse_agent_verdict(session.emitted_result))
+    return Verdict(violations=tuple(violations))
 
 
 # -- evaluate ----------------------------------------------------------------
@@ -390,7 +394,7 @@ def run_benchmark(ws: Workspace, contract: TargetContract) -> MetricReport:
     except OSError as exc:
         raise BenchmarkFailed(f"benchmark did not run: {exc}") from exc
     if done.returncode != 0:
-        raise BenchmarkFailed(f"benchmark exited {done.returncode}: {done.stderr[:2000]}")
+        raise BenchmarkFailed(f"benchmark exited {done.returncode}: {done.stderr[-_STDERR_TAIL:]}")
     return parse_metric_line(done.stdout)
 
 
@@ -412,7 +416,7 @@ def run_profilers(ws: Workspace, contract: TargetContract) -> list[tuple[str, st
 
 def evaluate(
     ws: Workspace, contract: TargetContract, agents: Agents, round_index: int = 0
-) -> tuple[MetricReport, tuple[str, ...], AgentInvocation]:
+) -> tuple[MetricReport, tuple[str, ...]]:
     """Benchmark the candidate, then let the Evaluator agent turn the report
     and profiler output into hints (delivered via record_finding)."""
     report = run_benchmark(ws, contract)
@@ -434,13 +438,13 @@ def evaluate(
     bundle = assemble_prompt(
         AgentRole.EVALUATOR, task_text, (), (), feedback=None, instructions=contract.instructions
     )
-    invocation = agents.turn(ws, bundle, round_index)
+    session = agents.turn(ws, bundle, round_index)
     hints = tuple(
         entry.arguments.get("text", "")
-        for entry in invocation.tool_log
+        for entry in session.tool_log
         if entry.tool == "record_finding" and entry.ok
     )
-    return report, hints, invocation
+    return report, hints
 
 
 # -- the round engine --------------------------------------------------------
@@ -509,7 +513,7 @@ def execute_round(
         )
         agents.turn(ws, bundle, round_index, attempt)
         try:
-            verdict, _inv, _notes = judge(ws, directive, contract, agents, round_index, attempt, scan_config)
+            verdict = judge(ws, directive, contract, agents, round_index, attempt, scan_config)
         except CheckerUnrunnable as exc:
             record_verdict(attempt, [Violation(ACCURACY, str(exc))])
             return fail_round(RoundStatus.ERROR, [str(exc)])
@@ -532,7 +536,7 @@ def execute_round(
     # before committing the checkpoint.
     post_judge_tree = ws.worktree_digest()
     try:
-        report, hints, _inv = evaluate(ws, contract, agents, round_index)
+        report, hints = evaluate(ws, contract, agents, round_index)
     except (BenchmarkFailed, MetricParseError) as exc:
         return fail_round(RoundStatus.ERROR, [str(exc)])
     restore_tree(ws, post_judge_tree)

@@ -22,7 +22,10 @@ means stdout is never parsed for semantics.
 
 Sessions are per agent invocation: the invoker brackets each spawn with
 ``begin_session`` / ``end_session`` so every tool call is attributed to a
-role and round. Calls outside any session are policy-level rejections.
+role and round. The :class:`Session` is the turn's one in-memory record:
+its tool-call count, the log of answered calls and the emitted result; the
+harness's ``invocation`` ledger event is the turn's durable account. Calls
+outside any session are policy-level rejections.
 """
 
 from __future__ import annotations
@@ -60,10 +63,6 @@ class InvalidToolset(McpError):
     pass
 
 
-class InvalidParams(McpError):
-    """A call's arguments fail its tool's input schema."""
-
-
 class SessionContext(NamedTuple):
     role: str
     round: int
@@ -78,19 +77,6 @@ class ToolSpec(NamedTuple):
     description: str
     input_schema: dict
     handler: ToolHandler
-
-
-class ToolCall(NamedTuple):
-    tool: str
-    arguments: dict
-    call_id: object
-
-
-class ToolResult(NamedTuple):
-    call_id: object
-    ok: bool
-    payload: Optional[dict] = None
-    error: Optional[str] = None
 
 
 _TYPES: dict[str, Callable[[object], bool]] = {
@@ -203,20 +189,6 @@ def validate_toolset(tools: list[ToolSpec]) -> None:
             raise InvalidToolset(f"tool {t.name} has an invalid input schema: {exc}") from None
 
 
-def handle_call(toolset: dict[str, ToolSpec], call: ToolCall, ctx: SessionContext) -> ToolResult:
-    """Validate against the tool's schema, then dispatch; the handler never
-    runs on a call that failed validation (InvalidParams)."""
-    spec = toolset[call.tool]
-    error = first_error(spec.input_schema, call.arguments)
-    if error is not None:
-        raise InvalidParams(error)
-    try:
-        payload = spec.handler(ctx, call.arguments)
-    except HandlerError as exc:
-        return ToolResult(call_id=call.call_id, ok=False, error=str(exc))
-    return ToolResult(call_id=call.call_id, ok=True, payload=payload)
-
-
 class ToolLogEntry(NamedTuple):
     tool: str
     arguments: dict
@@ -226,14 +198,14 @@ class ToolLogEntry(NamedTuple):
 
 
 class Session:
-    """One agent turn's view of the server; dispatch updates its counters."""
+    """One agent turn's in-memory record: dispatch counts its tool calls,
+    logs each answered call and keeps the result it emitted."""
 
-    def __init__(self, role: str, round: int, allowed_tools: Optional[frozenset[str]] = None,
-                 tool_calls: int = 0, emitted_result: Optional[object] = None,
-                 tool_log: Optional[list[ToolLogEntry]] = None):
+    def __init__(self, role: str, round: int, allowed_tools: Optional[frozenset[str]] = None):
         self.role, self.round, self.allowed_tools = role, round, allowed_tools  # None = full toolset
-        self.tool_calls, self.emitted_result = tool_calls, emitted_result
-        self.tool_log = [] if tool_log is None else tool_log
+        self.tool_calls = 0
+        self.emitted_result: Optional[object] = None
+        self.tool_log: list[ToolLogEntry] = []
 
 
 class ToolServer:
@@ -327,39 +299,28 @@ class ToolServer:
             arguments = params.get("arguments", {})
             if session is not None:
                 session.tool_calls += 1
-            visible = self._visible_tools(session)
-            if name not in visible:
+            spec = self._visible_tools(session).get(name)
+            if spec is None:
                 return error(METHOD_NOT_FOUND, f"tool not found: {name}")
-            ctx = SessionContext(
-                role=session.role if session else "?",
-                round=session.round if session else -1,
-            )
             if session is None:
-                tool_result = ToolResult(
-                    call_id=req_id, ok=False, error="tool call outside any active round"
-                )
-            else:
-                try:
-                    tool_result = handle_call(visible, ToolCall(name, arguments, req_id), ctx)
-                except InvalidParams as exc:
-                    self._record_tool_event(session, name, ok=False, error=f"invalid params: {exc}")
-                    return error(INVALID_PARAMS, f"invalid params for {name}: {exc}")
-            if session is not None:
-                session.tool_log.append(
-                    ToolLogEntry(
-                        tool=name,
-                        arguments=arguments,
-                        ok=tool_result.ok,
-                        payload=tool_result.payload,
-                        error=tool_result.error,
-                    )
-                )
-            self._record_tool_event(
-                session, name, ok=tool_result.ok, error=tool_result.error
-            )
-            if tool_result.ok:
-                return result({"ok": True, "payload": tool_result.payload})
-            return result({"ok": False, "error": tool_result.error})
+                refusal = "tool call outside any active round"
+                self._record_tool_event(None, name, ok=False, error=refusal)
+                return result({"ok": False, "error": refusal})
+            # The handler never runs on arguments that fail the schema.
+            invalid = first_error(spec.input_schema, arguments)
+            if invalid is not None:
+                self._record_tool_event(session, name, ok=False, error=f"invalid params: {invalid}")
+                return error(INVALID_PARAMS, f"invalid params for {name}: {invalid}")
+            try:
+                payload = spec.handler(SessionContext(session.role, session.round), arguments)
+                entry = ToolLogEntry(name, arguments, ok=True, payload=payload, error=None)
+            except HandlerError as exc:
+                entry = ToolLogEntry(name, arguments, ok=False, payload=None, error=str(exc))
+            session.tool_log.append(entry)
+            self._record_tool_event(session, name, ok=entry.ok, error=entry.error)
+            if entry.ok:
+                return result({"ok": True, "payload": entry.payload})
+            return result({"ok": False, "error": entry.error})
 
         if method == "result/emit":
             if session is None:
@@ -372,11 +333,7 @@ class ToolServer:
     def _record_tool_event(self, session: Optional[Session], tool: str, ok: bool, error=None) -> None:
         if self.ledger is None:
             return
-        payload = {
-            "role": session.role if session else "?",
-            "tool": tool,
-            "ok": ok,
-        }
+        payload = {"role": session.role if session else "?", "tool": tool, "ok": ok}
         if error:
             payload["error"] = error
         self.ledger.append("tool_call", session.round if session else -1, payload)

@@ -7,9 +7,10 @@ validated round does not, it reverts to the best through
 :func:`~forgeloop.innerloop.revert`, then tells ``policy.end_round`` whether
 the round was kept. Every agent turn, the Orchestrator's included, goes
 through one :class:`~forgeloop.innerloop.Agents` record, and ``{endpoint}``
-in a harness command is the run's tool socket. In stub mode every agent
-turn is a scripted stub resolved from the scripts directory by naming
-convention:
+in a harness command is the run's tool socket. A harness that cannot
+start is a set-up error in round 0 and ends only its round as ``error``
+after that. In stub mode every agent turn is a scripted stub resolved from
+the scripts directory by naming convention:
 
     <role>_r<round>_a<attempt>.jsonl   (most specific)
     <role>_r<round>.jsonl
@@ -28,8 +29,8 @@ from typing import NamedTuple, Optional
 
 from forgeloop.contract import TargetContract, validate_contract
 from forgeloop.errors import ForgeloopError
-from forgeloop.harness import AgentRole, HarnessConfig, assemble_prompt, prompt_digest, scripted_stub
-from forgeloop.innerloop import Agents, RoundStatus, ScanConfig, execute_round, revert
+from forgeloop.harness import AgentRole, HarnessConfig, SpawnFailed, assemble_prompt, prompt_digest, scripted_stub
+from forgeloop.innerloop import Agents, RoundResult, RoundStatus, ScanConfig, execute_round, revert
 from forgeloop.ledger import LedgerWriter
 from forgeloop.mcp import ToolServer
 from forgeloop.policy import (
@@ -41,7 +42,7 @@ from forgeloop.policy import (
     RalphPolicy,
 )
 from forgeloop.skills import SkillLibrary, default_library_path, load_library
-from forgeloop.workspace import Checkpoint, Workspace, init_workspace
+from forgeloop.workspace import Checkpoint, Workspace, discard_worktree, init_workspace
 
 
 class RunSetupError(ForgeloopError):
@@ -161,7 +162,7 @@ def run_target(
     policy = make_policy(policy_name, ws, task_text, orchestrator_invoker)
     server = ToolServer(list(policy.served_toolset()), ledger=ledger)
     server.serve(endpoint)
-    agents = Agents(harnesses, server=server, ledger=ledger, allowed_tools=policy.allowed_tools)
+    agents = Agents(harnesses, server, ledger=ledger, allowed_tools=policy.allowed_tools)
 
     checkpoints = 0
     rounds_run = 0
@@ -186,7 +187,13 @@ def run_target(
                 },
             )
 
-            result = execute_round(directive, round_index, ws, contract, agents, library, scan_config)
+            try:
+                result = execute_round(directive, round_index, ws, contract, agents, library, scan_config)
+            except SpawnFailed as exc:
+                if round_index == 0:
+                    raise  # a harness that never starts is a set-up error
+                discard_worktree(ws)
+                result = RoundResult(RoundStatus.ERROR, feedback=(f"harness did not start: {exc}",))
             rounds_run += 1
             kept = False
             if result.status is RoundStatus.VALIDATED:

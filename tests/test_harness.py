@@ -1,5 +1,5 @@
-"""Harness adapters: prompt rendering, invocation accounting, timeouts,
-and the scripted stub."""
+"""Harness adapters: prompt rendering, the invocation ledger event,
+timeouts, and the scripted stub."""
 
 import json
 import os
@@ -14,7 +14,6 @@ import pytest
 from forgeloop.harness import (
     AgentRole,
     EmptyTask,
-    ExitKind,
     HarnessConfig,
     SpawnFailed,
     _kill_process_group,
@@ -100,6 +99,20 @@ def bundle_for(role=AgentRole.IMPLEMENTER, task="do the thing"):
     return assemble_prompt(role, task, ["crit"], [], None, "instructions")
 
 
+def invoke_logged(cfg, root, tmp_path, server=None):
+    """One round-0 turn with a ledger; returns its session and the payload
+    of the ``invocation`` event it appended."""
+    ledger_path = tmp_path / "turns.jsonl"
+    ledger = LedgerWriter(ledger_path)
+    try:
+        session = invoke_agent(cfg, bundle_for(), root, 0, server or ToolServer([]), ledger=ledger)
+    finally:
+        ledger.close()
+    event = read_ledger(ledger_path)[-1]
+    assert event.kind == "invocation"
+    return session, event.payload
+
+
 def test_invoke_agent_runs_in_workspace_with_sanitized_env(toy_workspace, tmp_path):
     out_file = tmp_path / "env.json"
     cfg = HarnessConfig(
@@ -117,16 +130,16 @@ def test_invoke_agent_runs_in_workspace_with_sanitized_env(toy_workspace, tmp_pa
     )
     os.environ["FORGELOOP_TEST_SECRET"] = "do-not-leak"
     try:
-        invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, 0)
+        _, event = invoke_logged(cfg, toy_workspace.root, tmp_path)
     finally:
         del os.environ["FORGELOOP_TEST_SECRET"]
     seen = json.loads(out_file.read_text())
-    assert invocation.exit_kind is ExitKind.COMPLETED
+    assert event["exit_kind"] == "completed"
     assert seen["cwd"] == str(toy_workspace.root)
     assert seen["argv_ws"] == str(toy_workspace.root)
     assert "FORGELOOP_TEST_SECRET" not in seen["env"]
-    assert invocation.duration >= 0
-    assert invocation.prompt_digest == prompt_digest(render_prompt(bundle_for()))
+    assert event["duration_s"] >= 0
+    assert event["prompt_digest"] == prompt_digest(render_prompt(bundle_for()))
 
 
 def test_endpoint_is_the_tool_servers_socket(toy_workspace, tmp_path):
@@ -134,37 +147,40 @@ def test_endpoint_is_the_tool_servers_socket(toy_workspace, tmp_path):
         command_template=(sys.executable, "-c", "import sys; sys.stderr.write(sys.argv[1])", "{endpoint}"),
         timeout_s=10,
     )
-    assert invoke_agent(cfg, bundle_for(), toy_workspace.root, 0).stderr == ""
+    # An unbound server has no socket: the endpoint is empty.
+    assert invoke_logged(cfg, toy_workspace.root, tmp_path)[1]["stderr_tail"] == ""
     server = ToolServer([])
     server.serve(str(tmp_path / "ep.sock"))
     try:
-        invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, 0, server=server)
-        assert invocation.stderr == server.socket_path
+        _, event = invoke_logged(cfg, toy_workspace.root, tmp_path, server)
+        assert event["stderr_tail"] == server.socket_path
     finally:
         server.shutdown()
 
 
-def test_invocation_duration_ignores_wall_clock_steps(toy_workspace, monkeypatch):
+def test_invocation_duration_ignores_wall_clock_steps(toy_workspace, tmp_path, monkeypatch):
     # The wall clock steps back an hour mid-turn; the duration must not.
     stamps = iter([10_000.0, 10_000.0 - 3600.0])
     monkeypatch.setattr(time, "time", lambda: next(stamps, 10_000.0 - 3600.0))
     cfg = HarnessConfig(command_template=(sys.executable, "-c", "pass"), timeout_s=10)
-    invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, 0)
-    assert 0 <= invocation.duration < 60
-    assert invocation.started == 10_000.0
+    _, event = invoke_logged(cfg, toy_workspace.root, tmp_path)
+    assert 0 <= event["duration_s"] < 60
+    assert event["started"] == 10_000.0
 
 
 def test_invoke_agent_spawn_failure(toy_workspace):
     cfg = HarnessConfig(command_template=("/no/such/binary",), timeout_s=5)
+    server = ToolServer([])
     with pytest.raises(SpawnFailed):
-        invoke_agent(cfg, bundle_for(), toy_workspace.root, 0)
+        invoke_agent(cfg, bundle_for(), toy_workspace.root, 0, server)
+    server.begin_session("Implementer", 0)  # the failed turn closed its session
 
 
-def test_invoke_agent_crash_exit_kind(toy_workspace):
+def test_invoke_agent_crash_exit_kind(toy_workspace, tmp_path):
     cfg = HarnessConfig(command_template=(sys.executable, "-c", "raise SystemExit(3)"), timeout_s=5)
-    invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, 0)
-    assert invocation.exit_kind is ExitKind.CRASHED
-    assert invocation.exit_code == 3
+    _, event = invoke_logged(cfg, toy_workspace.root, tmp_path)
+    assert event["exit_kind"] == "crashed"
+    assert event["exit_code"] == 3
 
 
 def test_timeout_kills_whole_process_tree(toy_workspace, tmp_path):
@@ -178,8 +194,9 @@ def test_timeout_kills_whole_process_tree(toy_workspace, tmp_path):
     )
     cfg = HarnessConfig(command_template=(sys.executable, "-c", script), timeout_s=1.0)
     started = time.monotonic()
-    invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, 0)
-    assert invocation.exit_kind is ExitKind.TIMEOUT
+    _, event = invoke_logged(cfg, toy_workspace.root, tmp_path)
+    assert event["exit_kind"] == "timeout"
+    assert event["exit_code"] is None
     assert time.monotonic() - started < 10
     grandchild = int(pid_file.read_text())
     deadline = time.monotonic() + 3.0
@@ -202,8 +219,8 @@ def test_timeout_preserves_partial_edits(toy_workspace, tmp_path):
         "time.sleep(60)\n"
     )
     cfg = HarnessConfig(command_template=(sys.executable, "-c", script), timeout_s=1.0)
-    invocation = invoke_agent(cfg, bundle_for(), toy_workspace.root, 0)
-    assert invocation.exit_kind is ExitKind.TIMEOUT
+    _, event = invoke_logged(cfg, toy_workspace.root, tmp_path)
+    assert event["exit_kind"] == "timeout"
     assert (toy_workspace.candidate_root / "partial.txt").read_text() == "half-done"
 
 
@@ -211,7 +228,7 @@ def test_invocation_ledger_event(toy_workspace, tmp_path):
     ledger_path = tmp_path / "ledger.jsonl"
     ledger = LedgerWriter(ledger_path)
     cfg = HarnessConfig(command_template=(sys.executable, "-c", "pass"), timeout_s=5)
-    invoke_agent(cfg, bundle_for(), toy_workspace.root, 4, ledger=ledger, attempt=2)
+    invoke_agent(cfg, bundle_for(), toy_workspace.root, 4, ToolServer([]), ledger=ledger, attempt=2)
     ledger.close()
     events = read_ledger(ledger_path)
     assert len(events) == 1
@@ -229,7 +246,7 @@ def test_crashed_agent_leaves_exit_code_and_stderr_tail_in_ledger(toy_workspace,
     ledger = LedgerWriter(ledger_path)
     script = "import sys; sys.stderr.write('x' * 5000 + 'cannot find the model'); raise SystemExit(3)"
     cfg = HarnessConfig(command_template=(sys.executable, "-c", script), timeout_s=10)
-    invoke_agent(cfg, bundle_for(), toy_workspace.root, 0, ledger=ledger)
+    invoke_agent(cfg, bundle_for(), toy_workspace.root, 0, ToolServer([]), ledger=ledger)
     ledger.close()
     (ev,) = read_ledger(ledger_path)
     assert ev.payload["exit_kind"] == "crashed"
@@ -306,21 +323,16 @@ def run_stub(toy_workspace, tmp_path, steps, timeout=30.0):
     sock = str(tmp_path / "s.sock")
     server.serve(sock)
     try:
-        invocation = invoke_agent(
-            scripted_stub(script, timeout_s=timeout),
-            bundle_for(),
-            toy_workspace.root,
-            0,
-            server=server,
-        )
+        session, event = invoke_logged(scripted_stub(script, timeout_s=timeout), toy_workspace.root, tmp_path, server)
     finally:
         server.shutdown()
-    return invocation, findings
+    assert event["tool_calls"] == session.tool_calls
+    return session, event, findings
 
 
 def test_stub_apply_patch_and_tool_call(toy_workspace, tmp_path):
     patch = toy.new_file_diff("candidate/run", "#!/bin/sh\necho patched\n")
-    invocation, findings = run_stub(
+    session, event, findings = run_stub(
         toy_workspace,
         tmp_path,
         [
@@ -328,8 +340,9 @@ def test_stub_apply_patch_and_tool_call(toy_workspace, tmp_path):
             {"step": "call_tool", "name": "record_finding", "arguments": {"text": "observed"}},
         ],
     )
-    assert invocation.exit_kind is ExitKind.COMPLETED
-    assert invocation.tool_calls == 1
+    assert event["exit_kind"] == "completed"
+    assert event["tool_calls"] == 1
+    assert [(e.tool, e.ok) for e in session.tool_log] == [("record_finding", True)]
     assert findings == ["observed"]
     target = toy_workspace.candidate_root / "run"
     assert target.read_text() == "#!/bin/sh\necho patched\n"
@@ -337,21 +350,22 @@ def test_stub_apply_patch_and_tool_call(toy_workspace, tmp_path):
 
 
 def test_stub_empty_script_completes_with_no_effects(toy_workspace, tmp_path):
-    invocation, findings = run_stub(toy_workspace, tmp_path, [])
-    assert invocation.exit_kind is ExitKind.COMPLETED
-    assert invocation.tool_calls == 0
+    session, event, findings = run_stub(toy_workspace, tmp_path, [])
+    assert event["exit_kind"] == "completed"
+    assert event["tool_calls"] == 0
+    assert session.tool_log == [] and session.emitted_result is None
     assert findings == []
     assert list(toy_workspace.candidate_root.iterdir()) == []
 
 
 def test_stub_emit_becomes_final_result(toy_workspace, tmp_path):
-    invocation, _ = run_stub(
+    session, event, _ = run_stub(
         toy_workspace,
         tmp_path,
         [{"step": "emit", "approve": False, "violations": [{"kind": "criteria", "detail": "nope"}]}],
     )
-    assert invocation.result == {"approve": False, "violations": [{"kind": "criteria", "detail": "nope"}]}
-    assert invocation.tool_calls == 0
+    assert session.emitted_result == {"approve": False, "violations": [{"kind": "criteria", "detail": "nope"}]}
+    assert event["tool_calls"] == 0
 
 
 @pytest.mark.parametrize("pythonpath", ["src", None], ids=["relative-src", "unset"])
@@ -362,9 +376,9 @@ def test_stub_starts_whatever_the_callers_pythonpath(toy_workspace, tmp_path, mo
         monkeypatch.delenv("PYTHONPATH", raising=False)
     else:
         monkeypatch.setenv("PYTHONPATH", pythonpath)
-    invocation, _ = run_stub(toy_workspace, tmp_path, [{"step": "emit", "answer": 42}])
-    assert invocation.exit_kind is ExitKind.COMPLETED, invocation.stderr
-    assert invocation.result == {"answer": 42}
+    session, event, _ = run_stub(toy_workspace, tmp_path, [{"step": "emit", "answer": 42}])
+    assert event["exit_kind"] == "completed", event["stderr_tail"]
+    assert session.emitted_result == {"answer": 42}
 
 
 def test_stub_unknown_step_is_malformed(tmp_path):
@@ -377,6 +391,6 @@ def test_stub_unknown_step_is_malformed(tmp_path):
 
 def test_stub_sleep_step_runs(toy_workspace, tmp_path):
     started = time.monotonic()
-    invocation, _ = run_stub(toy_workspace, tmp_path, [{"step": "sleep", "seconds": 0.3}])
-    assert invocation.exit_kind is ExitKind.COMPLETED
+    _, event, _ = run_stub(toy_workspace, tmp_path, [{"step": "sleep", "seconds": 0.3}])
+    assert event["exit_kind"] == "completed"
     assert time.monotonic() - started >= 0.3

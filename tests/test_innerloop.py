@@ -160,36 +160,46 @@ def write_candidate(ws, source):
 
 
 def judge_once(ws, contract, tmp_path):
-    agents = Agents(empty_provider(tmp_path))
-    return judge(ws, directive_for(), contract, agents, round_index=0, attempt=1)
+    """Judge round 0 with an empty Judge script and a ledger at
+    ``tmp_path / "judge.jsonl"``; returns the verdict."""
+    ledger = LedgerWriter(tmp_path / "judge.jsonl")
+    agents = Agents(empty_provider(tmp_path), ToolServer([]), ledger=ledger)
+    try:
+        return judge(ws, directive_for(), contract, agents, round_index=0, attempt=1)
+    finally:
+        ledger.close()
+
+
+JUDGE_PROMPT = ".prompts/judge-r0-a1.md"
 
 
 def test_judge_passes_correct_candidate(toy_workspace, toy_contract, tmp_path):
     write_candidate(toy_workspace, toy.candidate_source(0.0))
-    verdict, invocation, notes = judge_once(toy_workspace, toy_contract, tmp_path)
+    verdict = judge_once(toy_workspace, toy_contract, tmp_path)
     assert verdict.passed
-    assert invocation is not None  # the judge agent ran
-    # checks (b) and (c) degrade to unchecked on this setup
-    assert len(notes) == 2
+    assert roles_in(tmp_path / "judge.jsonl") == ["Judge"]  # the judge agent ran
+    # checks (b) and (c) degrade to unchecked notes in the Judge's prompt
+    prompt = (toy_workspace.root / JUDGE_PROMPT).read_text()
+    assert prompt.count("unchecked: (") == 2
 
 
 def test_judge_checker_failure_carries_stderr(toy_workspace, toy_contract, tmp_path):
     write_candidate(toy_workspace, toy.candidate_source(0.0, correct=False))
-    verdict, _, _ = judge_once(toy_workspace, toy_contract, tmp_path)
+    verdict = judge_once(toy_workspace, toy_contract, tmp_path)
     assert not verdict.passed
     accuracy = [v for v in verdict.violations if v.kind == "accuracy"]
     assert accuracy and "mismatch" in accuracy[0].detail
 
 
 def test_judge_missing_candidate_is_accuracy_failure(toy_workspace, toy_contract, tmp_path):
-    verdict, _, _ = judge_once(toy_workspace, toy_contract, tmp_path)
+    verdict = judge_once(toy_workspace, toy_contract, tmp_path)
     assert not verdict.passed
     assert any("no run entrypoint" in v.detail for v in verdict.violations)
 
 
 def test_judge_detects_hack_candidate_via_probes(toy_workspace, toy_contract, tmp_path):
     write_candidate(toy_workspace, toy.hack_candidate_source())
-    verdict, _, _ = judge_once(toy_workspace, toy_contract, tmp_path)
+    verdict = judge_once(toy_workspace, toy_contract, tmp_path)
     assert not verdict.passed
     kinds = {v.kind for v in verdict.violations}
     assert kinds == {"reward_hack"}  # checker passed; only the scan fired
@@ -210,13 +220,10 @@ def test_judge_agent_review_appends_after_scan_flag(toy_workspace, toy_contract,
     sock = str(tmp_path / "j2.sock")
     server.serve(sock)
     try:
-        agents = Agents(stub_harness_provider(scripts, 30), server=server)
-        verdict, invocation, _ = judge(
-            toy_workspace, directive_for(), toy_contract, agents, round_index=0, attempt=1
-        )
+        agents = Agents(stub_harness_provider(scripts, 30), server)
+        verdict = judge(toy_workspace, directive_for(), toy_contract, agents, round_index=0, attempt=1)
     finally:
         server.shutdown()
-    assert invocation is not None
     kinds = [v.kind for v in verdict.violations]
     assert "reward_hack" in kinds and "criteria" in kinds
 
@@ -227,10 +234,12 @@ def test_judge_tamper_short_circuits(toy_workspace, toy_contract, tmp_path):
     checker.chmod(0o755)  # keep it runnable; the digest is what flags the edit
     with checker.open("a") as fh:
         fh.write("# evil\n")
-    verdict, invocation, _ = judge_once(toy_workspace, toy_contract, tmp_path)
+    verdict = judge_once(toy_workspace, toy_contract, tmp_path)
     assert not verdict.passed
     assert any(v.kind == "tamper" and "artifacts/checker" in v.detail for v in verdict.violations)
-    assert invocation is None  # agent review skipped on a compromised workspace
+    # agent review skipped on a compromised workspace
+    assert roles_in(tmp_path / "judge.jsonl") == []
+    assert not (toy_workspace.root / JUDGE_PROMPT).exists()
 
 
 def test_judge_agent_can_add_but_not_clear_violations(toy_workspace, toy_contract, tmp_path):
@@ -247,9 +256,7 @@ def test_judge_agent_can_add_but_not_clear_violations(toy_workspace, toy_contrac
     sock = str(tmp_path / "j.sock")
     server.serve(sock)
     try:
-        verdict, _, _ = judge(
-            toy_workspace, directive_for(), toy_contract, Agents(provider, server=server), round_index=0, attempt=1
-        )
+        verdict = judge(toy_workspace, directive_for(), toy_contract, Agents(provider, server), round_index=0, attempt=1)
     finally:
         server.shutdown()
     assert not verdict.passed
@@ -261,8 +268,19 @@ def test_build_step_failure_is_accuracy_violation(toy_workspace, toy_contract, t
     build = toy_workspace.candidate_root / "build"
     build.write_text("#!/bin/sh\necho boom >&2\nexit 1\n")
     build.chmod(0o755)
-    verdict, _, _ = judge_once(toy_workspace, toy_contract, tmp_path)
+    verdict = judge_once(toy_workspace, toy_contract, tmp_path)
     assert any(v.kind == "accuracy" and "boom" in v.detail for v in verdict.violations)
+
+
+def test_build_failure_keeps_the_end_of_a_long_stderr(toy_workspace, toy_contract, tmp_path):
+    write_candidate(toy_workspace, toy.candidate_source(0.0))
+    build = toy_workspace.candidate_root / "build"
+    build.write_text("#!/bin/sh\nprintf 'x%.0s' $(seq 3000) >&2\necho 'undefined symbol: foo' >&2\nexit 2\n")
+    build.chmod(0o755)
+    verdict = judge_once(toy_workspace, toy_contract, tmp_path)
+    (build_failure,) = [v for v in verdict.violations if v.detail.startswith("build failed")]
+    assert build_failure.detail.startswith("build failed (2): x")
+    assert build_failure.detail.rstrip().endswith("undefined symbol: foo")
 
 
 def test_run_benchmark_and_metric(toy_workspace, toy_contract):
@@ -300,8 +318,8 @@ def test_evaluate_collects_hints_and_profiler_output(toy_workspace, toy_contract
     server.serve(sock)
     provider = stub_harness_provider(scripts, timeout_s=30)
     try:
-        report, hints, invocation = evaluate(
-            toy_workspace, contract, Agents(provider, server=server, allowed_tools=lambda role: ("record_finding",))
+        report, hints = evaluate(
+            toy_workspace, contract, Agents(provider, server, allowed_tools=lambda role: ("record_finding",))
         )
     finally:
         server.shutdown()
@@ -473,7 +491,7 @@ def test_hanging_build_probe_and_profiler_leave_no_survivor(toy_workspace, toy_c
     if gate == "build":
         write_candidate(ws, toy.candidate_source(0.0))
         hanging_gate(ws.candidate_root / "build", pid_file)
-        verdict, _, _ = judge_once(ws, short_limit(toy_contract), tmp_path)
+        verdict = judge_once(ws, short_limit(toy_contract), tmp_path)
         assert any("build step failed to run" in v.detail for v in verdict.violations)
     elif gate == "probe":
         hanging_gate(ws.candidate_root / "run", pid_file)

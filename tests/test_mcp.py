@@ -12,14 +12,12 @@ import pytest
 from forgeloop.mcp import (
     HandlerError,
     InvalidToolset,
-    SessionContext,
-    ToolCall,
     ToolServer,
     ToolSpec,
     first_error,
-    handle_call,
     validate_toolset,
 )
+from forgeloop.ledger import LedgerWriter, read_ledger
 from forgeloop.policy import EvolutionaryPolicy, IssueTrackerPolicy, RalphPolicy
 from forgeloop.stubagent import _Client
 
@@ -243,15 +241,28 @@ def test_validate_toolset_rejects_duplicates_and_bad_schema():
         validate_toolset([ToolSpec("b", "d", {"type": "nonsense"}, handler)])
 
 
-def test_handle_call_handler_error_becomes_result():
+def test_dispatch_handler_error_becomes_result(tmp_path):
+    seen = []
+
     def handler(ctx, args):
+        seen.append((ctx.role, ctx.round))
         raise HandlerError("nope")
 
-    spec = ToolSpec("t", "d", {"type": "object"}, handler)
-    result = handle_call({"t": spec}, ToolCall("t", {}, 1), SessionContext("Judge", 0))
-    assert result.ok is False
-    assert result.error == "nope"
-    assert result.call_id == 1
+    ledger = LedgerWriter(tmp_path / "ledger.jsonl")
+    server = ToolServer([ToolSpec("t", "d", {"type": "object"}, handler)], ledger=ledger)
+    server.begin_session("Judge", 3)
+    response = server.dispatch(
+        {"jsonrpc": "2.0", "id": 1, "method": "tools/call", "params": {"name": "t", "arguments": {}}}
+    )
+    session = server.end_session()
+    ledger.close()
+    assert response == {"jsonrpc": "2.0", "id": 1, "result": {"ok": False, "error": "nope"}}
+    assert seen == [("Judge", 3)]
+    assert session.tool_calls == 1
+    assert [(e.tool, e.ok, e.payload, e.error) for e in session.tool_log] == [("t", False, None, "nope")]
+    (event,) = read_ledger(tmp_path / "ledger.jsonl")
+    assert (event.kind, event.round) == ("tool_call", 3)
+    assert event.payload == {"role": "Judge", "tool": "t", "ok": False, "error": "nope"}
 
 
 def test_socket_transport_round_trip(server, tmp_path):

@@ -6,6 +6,7 @@ import subprocess
 import pytest
 
 from forgeloop.contract import load_contract
+from forgeloop.harness import AgentRole, HarnessConfig, SpawnFailed
 from forgeloop.ledger import read_ledger
 from forgeloop.runner import RunSetupError, run_target
 
@@ -455,3 +456,86 @@ def test_regressing_validated_round_reverts_to_best(policy_name, tmp_path):
     assert finished[0]["status"] == "validated"
     assert finished[0]["best_commit"] == best["commit"]
     assert (outcome.best.round, outcome.best.commit) == (0, best["commit"])
+
+
+def test_failed_benchmark_keeps_the_end_of_a_long_stderr(tmp_path):
+    import fuzz
+
+    config = fuzz.write_fuzz_target(tmp_path / "target", max_rounds=1, retry_budget=1)
+    (tmp_path / "target" / "benchmark").write_text(
+        "#!/bin/sh\nprintf 'x%.0s' $(seq 3000) >&2\necho 'GPU OOM in kernel foo' >&2\nexit 7\n"
+    )
+    scripts = tmp_path / "scripts"
+    correct_patch_script(scripts, source=fuzz.correct_candidate(1))
+    run_target(
+        load_contract(config),
+        workspace_root=tmp_path / "ws",
+        ledger_path=tmp_path / "ledger.jsonl",
+        mode="stub",
+        stub_scripts=scripts,
+    )
+    (finished,) = [e for e in read_ledger(tmp_path / "ledger.jsonl") if e.kind == "round_finished"]
+    assert finished.payload["status"] == "error"
+    assert "exited 7" in finished.payload["detail"]
+    assert "GPU OOM in kernel foo" in finished.payload["detail"]
+
+
+def missing_judge_in_round_1(monkeypatch):
+    """Make stub runs name a missing harness binary for round 1's Judge."""
+    import forgeloop.runner as runner
+
+    stub_provider = runner.stub_harness_provider
+
+    def provider_for(scripts_dir, timeout_s):
+        stub = stub_provider(scripts_dir, timeout_s)
+
+        def provider(role, round_index, attempt):
+            if role is AgentRole.JUDGE and round_index == 1:
+                return HarnessConfig(command_template=("/no/such/harness",), timeout_s=timeout_s)
+            return stub(role, round_index, attempt)
+
+        return provider
+
+    monkeypatch.setattr(runner, "stub_harness_provider", provider_for)
+
+
+def test_harness_that_stops_starting_mid_run_ends_only_its_round(tmp_path, monkeypatch):
+    missing_judge_in_round_1(monkeypatch)
+    contract = fast_target(tmp_path, max_rounds=3, retry_budget=1)
+    scripts = tmp_path / "scripts"
+    correct_patch_script(scripts)
+    # Round 1's Implementer edits the tree before its Judge fails to start.
+    toy.write_script(
+        scripts / "implementer_r1_a1.jsonl",
+        [{"step": "apply_patch", "patch": toy.new_file_diff("candidate/notes.txt", "round 1\n")}],
+    )
+    outcome = run_target(
+        contract,
+        workspace_root=tmp_path / "ws",
+        ledger_path=tmp_path / "ledger.jsonl",
+        policy_name="evolutionary",
+        mode="stub",
+        stub_scripts=scripts,
+    )
+    assert outcome.rounds_run == 3
+    finished = [e for e in read_ledger(tmp_path / "ledger.jsonl") if e.kind == "round_finished"]
+    assert [e.round for e in finished] == [0, 1, 2]
+    assert finished[1].payload["status"] == "error"
+    assert finished[1].payload["detail"].startswith("harness did not start: cannot launch harness '/no/such/harness'")
+    # Round 1's edit was discarded, so round 2 (no script) has nothing to commit.
+    assert finished[2].payload["detail"] == "round 2 left the tree unchanged"
+
+
+def test_harness_that_never_starts_is_a_setup_error(tmp_path):
+    contract = fast_target(tmp_path, max_rounds=2, retry_budget=1)
+    with pytest.raises(SpawnFailed):
+        run_target(
+            contract,
+            workspace_root=tmp_path / "ws",
+            ledger_path=tmp_path / "ledger.jsonl",
+            policy_name="evolutionary",
+            mode="agent",
+            harness_cmd="/no/such/harness {workspace}",
+        )
+    kinds = [e.kind for e in read_ledger(tmp_path / "ledger.jsonl")]
+    assert "round_finished" not in kinds
