@@ -44,13 +44,12 @@ class MetricsSummary(NamedTuple):
 
 
 class MetricReport(NamedTuple):
-    """Headline benchmark metric plus optional per-request records."""
+    """Headline benchmark metric plus its line's optional ``extras`` object."""
 
     metric: float
     unit: str
     higher_is_better: bool
     extras: Mapping = MappingProxyType({})  # read-only: no shared mutable default
-    records: tuple[RequestRecord, ...] = ()
 
 
 def compute_metrics(records: Sequence[RequestRecord]) -> MetricsSummary:

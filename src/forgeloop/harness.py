@@ -181,6 +181,7 @@ def invoke_agent(
 
     exit_kind = "timeout" if done.timed_out else "crashed" if done.returncode else "completed"
     if ledger is not None:
+        ended = started + done.duration_s  # duration_s is then exactly ended - started
         ledger.append(
             "invocation",
             round_index,
@@ -188,8 +189,8 @@ def invoke_agent(
                 "role": bundle.role.value,
                 "attempt": attempt,
                 "started": started,
-                "ended": started + done.duration_s,
-                "duration_s": done.duration_s,
+                "ended": ended,
+                "duration_s": ended - started,
                 "exit_kind": exit_kind,
                 "exit_code": done.returncode,
                 "stderr_tail": done.stderr[-_STDERR_TAIL:],

@@ -6,8 +6,10 @@ exit-code contract, mount verification, the deterministic reward-hack scan,
 and the Judge agent's review of the diff and runtime notes. The agent is
 advisory-plus: it can add violations, never clear deterministic ones. A
 tampered mount fails the round immediately; the Evaluator runs only after a
-passed verdict, and its worktree edits are discarded before the checkpoint
-commit.
+passed verdict. A round has one tree, the worktree the gates checked, which
+the ``Verdict`` carries: the Judge agent reviews its diff, the benchmark
+measures it and the checkpoint commits it. Edits by the Judge agent or the
+Evaluator phase are discarded.
 
 Every agent turn of a round (Implementer, Judge, Evaluator) goes through
 one :class:`Agents` record, which holds the harness provider, the run's tool
@@ -91,6 +93,8 @@ class Violation(NamedTuple):
 
 class Verdict(NamedTuple):
     violations: tuple[Violation, ...]
+    # The tree the gates checked; None when a tampered mount ended them first.
+    tree: Optional[str] = None
 
     @property
     def passed(self) -> bool:
@@ -313,8 +317,9 @@ def judge(
     attempt: int,
     scan_config: ScanConfig = ScanConfig(),
 ) -> Verdict:
-    """Run the four correctness gates in order. Unchecked-scan notes reach
-    the Judge agent's prompt; a tampered mount ends the gates before it."""
+    """Run the four correctness gates in order; the verdict carries the tree
+    they checked. Unchecked-scan notes reach the Judge agent's prompt; a
+    tampered mount ends the gates before it."""
     violations: list[Violation] = []
     notes: list[str] = []
     timeout = contract.budgets.round_wall_clock_limit_s
@@ -359,9 +364,10 @@ def judge(
         else:
             notes.append("reward-hack scan skipped: fewer than 2 distinct probe prompts")
 
-    # (4) judge agent review of the diff and runtime notes.
-    base = directive.start if directive.start is not None else ws.head
-    changes = diff_since(ws, base)
+    # (4) judge agent review of the diff and runtime notes. The round's
+    # start is ws.head: execute_round positions the workspace there.
+    tree = ws.worktree_digest()
+    changes = diff_since(ws, ws.head, tree)
     diff_lines = [f"{c.kind} {c.path} ({c.line_delta:+d} lines)" for c in changes]
     runtime_notes = [f"deterministic violations so far: {len(violations)}"]
     runtime_notes += [f"- {v.kind}: {v.detail}" for v in violations]
@@ -381,7 +387,7 @@ def judge(
     )
     session = agents.turn(ws, bundle, round_index, attempt)
     violations.extend(_parse_agent_verdict(session.emitted_result))
-    return Verdict(violations=tuple(violations))
+    return Verdict(violations=tuple(violations), tree=tree)
 
 
 # -- evaluate ----------------------------------------------------------------
@@ -532,14 +538,14 @@ def execute_round(
     if verdict is None or not verdict.passed:
         return fail_round(RoundStatus.FAILED_BUDGET, feedback_log)
 
-    # Evaluator phase: measure, hint, then drop any instrumentation edits
-    # before committing the checkpoint.
-    post_judge_tree = ws.worktree_digest()
+    # Evaluator phase: measure the checked tree, then drop the Judge agent's
+    # and the Evaluator phase's edits before the checkpoint commits it.
+    restore_tree(ws, verdict.tree)
     try:
         report, hints = evaluate(ws, contract, agents, round_index)
     except (BenchmarkFailed, MetricParseError) as exc:
         return fail_round(RoundStatus.ERROR, [str(exc)])
-    restore_tree(ws, post_judge_tree)
+    restore_tree(ws, verdict.tree)
 
     # End-of-round mount verification: the Evaluator phase must not have
     # touched an artifact either; a tampered round never checkpoints.

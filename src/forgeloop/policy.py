@@ -598,13 +598,9 @@ class RalphPolicy(Policy):
         self.task_text = task_text
         self._history_path = workspace.root / "RALPH_HISTORY.md"
 
-    def _history(self) -> str:
-        if self._history_path.exists():
-            return self._history_path.read_text(encoding="utf-8").strip("\n")
-        return ""
-
     def begin_round(self, round_index: int) -> RoundDirective:
-        history = self._history()
+        path = self._history_path
+        history = path.read_text(encoding="utf-8").strip("\n") if path.exists() else ""
         task = f"{self.task_text}\n\n## HISTORY\n{history}\n"
         return RoundDirective(start=None, task_text=task, pass_criteria=DEFAULT_CRITERIA)
 
@@ -621,7 +617,5 @@ class RalphPolicy(Policy):
         else:
             detail = result.feedback[0] if result.feedback else "no feedback"
             summary = f"- round {round_index}: {result.status.value}; {detail}"
-        history = self._history()
-        self._history_path.write_text(
-            (history + "\n" + summary).strip("\n") + "\n", encoding="utf-8"
-        )
+        with self._history_path.open("a", encoding="utf-8") as history:
+            history.write(summary.rstrip("\n") + "\n")

@@ -20,6 +20,7 @@ the scripts directory by naming convention:
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shlex
 import shutil
@@ -41,7 +42,7 @@ from forgeloop.policy import (
     NoEligibleIssue,
     RalphPolicy,
 )
-from forgeloop.skills import SkillLibrary, default_library_path, load_library
+from forgeloop.skills import default_library_path, load_library
 from forgeloop.workspace import Checkpoint, Workspace, discard_worktree, init_workspace
 
 
@@ -54,7 +55,6 @@ DEFAULT_TASK = (
     "accuracy checker green and optimize the benchmark headline metric."
 )
 
-_ROLES = {role.value.lower(): role for role in AgentRole}
 _DETAIL_TAIL = 2000  # characters of a failed round's feedback kept in its round_finished event
 
 
@@ -115,8 +115,6 @@ def run_target(
     stub_scripts: Optional[Path] = None,
     harness_cmd: Optional[str] = None,
     task_text: str = DEFAULT_TASK,
-    library: Optional[SkillLibrary] = None,
-    max_rounds: Optional[int] = None,
 ) -> RunOutcome:
     report = validate_contract(contract)
     if not report.ok:
@@ -134,43 +132,43 @@ def run_target(
         raise RunSetupError(f"unknown mode: {mode}")
 
     ws = init_workspace(contract, workspace_root)
-    if library is None:
-        library = load_library(default_library_path())
-
-    ledger = LedgerWriter(ledger_path)
+    library = load_library(default_library_path())
     tracker = BestTracker()
-
-    # The endpoint lives in its own short tmp dir: socket paths have a hard
-    # length cap and workspace roots can be deep.
-    sock_dir = tempfile.mkdtemp(prefix="fl-")
-    endpoint = os.path.join(sock_dir, "tools.sock")
-
-    orchestrator_invoker = None
-    if mode == "agent" and policy_name == "issue_tracker":
-
-        def orchestrator_invoker(policy, round_index):
-            backlog = "\n".join(i.to_json() for i in sorted(policy.issues.values(), key=lambda i: i.id))
-            task = (
-                "Pick the next open issue to dispatch via the select_issue tool.\n\n"
-                f"## BACKLOG\n{backlog}\n\n## MEMORY\n{policy.memory.serialize()}"
-            )
-            bundle = assemble_prompt(
-                AgentRole.ORCHESTRATOR, task, (), (), feedback=None, instructions=contract.instructions
-            )
-            agents.turn(ws, bundle, round_index)
-
-    policy = make_policy(policy_name, ws, task_text, orchestrator_invoker)
-    server = ToolServer(list(policy.served_toolset()), ledger=ledger)
-    server.serve(endpoint)
-    agents = Agents(harnesses, server, ledger=ledger, allowed_tools=policy.allowed_tools)
-
     checkpoints = 0
     rounds_run = 0
     stopped = "budget exhausted"
     scan_config = ScanConfig()
-    budget_rounds = max_rounds if max_rounds is not None else contract.budgets.max_rounds
-    try:
-        for round_index in range(budget_rounds):
+
+    # What is set up from here on is torn down however the run ends.
+    with contextlib.ExitStack() as cleanup:
+        ledger = cleanup.enter_context(LedgerWriter(ledger_path))
+        # The endpoint lives in its own short tmp dir: socket paths have a
+        # hard length cap and workspace roots can be deep.
+        sock_dir = tempfile.mkdtemp(prefix="fl-")
+        cleanup.callback(shutil.rmtree, sock_dir, ignore_errors=True)
+        endpoint = os.path.join(sock_dir, "tools.sock")
+
+        orchestrator_invoker = None
+        if mode == "agent" and policy_name == "issue_tracker":
+
+            def orchestrator_invoker(policy, round_index):
+                backlog = "\n".join(i.to_json() for i in sorted(policy.issues.values(), key=lambda i: i.id))
+                task = (
+                    "Pick the next open issue to dispatch via the select_issue tool.\n\n"
+                    f"## BACKLOG\n{backlog}\n\n## MEMORY\n{policy.memory.serialize()}"
+                )
+                bundle = assemble_prompt(
+                    AgentRole.ORCHESTRATOR, task, (), (), feedback=None, instructions=contract.instructions
+                )
+                agents.turn(ws, bundle, round_index)
+
+        policy = make_policy(policy_name, ws, task_text, orchestrator_invoker)
+        server = ToolServer(list(policy.served_toolset()), ledger=ledger)
+        cleanup.callback(server.shutdown)
+        server.serve(endpoint)
+        agents = Agents(harnesses, server, ledger=ledger, allowed_tools=policy.allowed_tools)
+
+        for round_index in range(contract.budgets.max_rounds):
             try:
                 directive = policy.begin_round(round_index)
             except (Exhausted, NoEligibleIssue) as exc:
@@ -200,11 +198,7 @@ def run_target(
                 checkpoints += 1
                 outputs = result.metric.extras.get("outputs", []) if result.metric else []
                 if outputs:
-                    scan_config = ScanConfig(
-                        latency_floor_s=scan_config.latency_floor_s,
-                        benchmark_outputs=tuple(str(o) for o in outputs),
-                        access_tracer=scan_config.access_tracer,
-                    )
+                    scan_config = scan_config._replace(benchmark_outputs=tuple(str(o) for o in outputs))
                 kept = tracker.consider(result.commit)
                 if not kept:
                     reason = "validated round regressed on the headline metric"
@@ -223,10 +217,6 @@ def run_target(
             if result.status is not RoundStatus.VALIDATED:
                 finished["detail"] = "\n".join(result.feedback)[-_DETAIL_TAIL:]
             ledger.append("round_finished", round_index, finished)
-    finally:
-        server.shutdown()
-        ledger.close()
-        shutil.rmtree(sock_dir, ignore_errors=True)
 
     return RunOutcome(
         rounds_run=rounds_run,

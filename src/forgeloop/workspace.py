@@ -14,7 +14,9 @@ digest check is the portable gate; the chmod is best-effort since an
 owner-uid agent process can always restore write permission.
 
 Every accepted build is a commit on ``main`` tagged ``round-<N>`` so
-checkpoints stay reachable after a revert resets the branch.
+checkpoints stay reachable after a revert resets the branch. A checkpoint
+commits the tree the round's gates checked onto the previous checkpoint, so
+an agent's own commits never stay on ``main``.
 """
 
 from __future__ import annotations
@@ -144,10 +146,13 @@ class Workspace:
         self.root = root
         self.manifest = manifest
         self.head = head
+        self.head_tree = ""  # the tree of ``head``, set wherever ``head`` moves
 
     # -- git plumbing -------------------------------------------------
 
-    def _git(self, *args: str, check: bool = True, env: dict | None = None) -> subprocess.CompletedProcess:
+    def _git(
+        self, *args: str, check: bool = True, env: dict | None = None, input: str | None = None
+    ) -> subprocess.CompletedProcess:
         # Only a call that adds variables pays for a copy of the environment;
         # every other one lets git inherit it.
         proc = subprocess.run(
@@ -156,6 +161,7 @@ class Workspace:
             capture_output=True,
             text=True,
             env={**os.environ, **env} if env else None,
+            input=input,
         )
         if check and proc.returncode != 0:
             raise WorkspaceError(f"git {' '.join(args)} failed: {proc.stderr.strip()}")
@@ -220,7 +226,7 @@ def init_workspace(contract, root: str | Path) -> Workspace:
     (root / ".gitignore").write_text("\n".join(_IGNORED) + "\n", encoding="utf-8")
     ws._git("add", ".gitignore")
     ws._git("commit", "-q", "-m", "baseline")
-    ws.head = ws._git("rev-parse", "HEAD").stdout.strip()
+    ws.head, ws.head_tree = ws._git("rev-parse", "HEAD", "HEAD^{tree}").stdout.split()
 
     (root / CANDIDATE_DIR).mkdir()
     artifacts = root / ARTIFACTS_DIR
@@ -293,16 +299,17 @@ def _make_writable(path: Path) -> None:
 
 
 def commit_checkpoint(ws: Workspace, round_index: int, metric: "MetricReport", verdict) -> Checkpoint:
-    """Commit the round's worktree as a validated checkpoint on ``main``.
+    """Commit the tree the verdict checked as a validated checkpoint on ``main``.
 
-    The commit message carries machine-readable trailers (Round / Metric /
+    The commit's parent is ``ws.head``, whatever the agents committed
+    meanwhile; ``main`` and ``round-<N>`` move together or not at all. The
+    commit message carries machine-readable trailers (Round / Metric /
     Verdict) so any policy can reconstruct history from the repo alone.
     """
     if not getattr(verdict, "passed", False):
         raise VerdictNotPassed(f"round {round_index} verdict did not pass")
-    parent = ws.head
-    ws._git("add", "-A")
-    if ws._git("diff", "--cached", "--quiet", "HEAD", check=False).returncode == 0:
+    parent, tree = ws.head, verdict.tree
+    if tree == ws.head_tree:
         raise NothingToCommit(f"round {round_index} left the tree unchanged")
     message = (
         f"checkpoint: round {round_index}\n"
@@ -312,10 +319,10 @@ def commit_checkpoint(ws: Workspace, round_index: int, metric: "MetricReport", v
         f"higher_is_better={'true' if metric.higher_is_better else 'false'}\n"
         f"Verdict: passed\n"
     )
-    ws._git("commit", "-q", "-m", message)
-    commit, tree = ws._git("rev-parse", "HEAD", "HEAD^{tree}").stdout.split()
-    ws._git("tag", "-f", f"round-{round_index}", commit)
-    ws.head = commit
+    commit = ws._git("commit-tree", tree, "-p", parent, "-m", message).stdout.strip()
+    refs = f"update refs/heads/main {commit}\nupdate refs/tags/round-{round_index} {commit}\n"
+    ws._git("update-ref", "-m", f"checkpoint: round {round_index}", "--stdin", input=refs)
+    ws.head, ws.head_tree = commit, tree
     return Checkpoint(
         commit=commit,
         round=round_index,
@@ -334,7 +341,7 @@ def revert_to(ws: Workspace, cp: Checkpoint) -> None:
         ws.tree_digest(cp.commit)  # raises UnknownCommit when that is the cause
         raise WorkspaceError(f"git reset --hard {cp.commit} failed: {reset.stderr.strip()}")
     ws._git("clean", "-fdq")
-    ws.head = cp.commit
+    ws.head, ws.head_tree = cp.commit, cp.tree_digest
 
 
 def restore_tree(ws: Workspace, tree_digest: str) -> None:
@@ -344,8 +351,9 @@ def restore_tree(ws: Workspace, tree_digest: str) -> None:
 
 
 def discard_worktree(ws: Workspace) -> None:
-    """Drop uncommitted edits, back to HEAD."""
-    ws._git("reset", "--hard", "-q", "HEAD")
+    """Drop the round's edits and any commit an agent made: the worktree,
+    the index and the checked-out branch go back to ``ws.head``."""
+    ws._git("reset", "--hard", "-q", ws.head)
     ws._git("clean", "-fdq")
 
 
@@ -358,14 +366,13 @@ class Change(NamedTuple):
 _KIND = {"A": "added", "M": "modified", "D": "deleted"}
 
 
-def diff_since(ws: Workspace, cp: "Checkpoint | str") -> tuple[Change, ...]:
+def diff_since(ws: Workspace, cp: "Checkpoint | str", tree: str) -> tuple[Change, ...]:
     """Content-based change summary between a checkpoint (or raw commit id)
-    and the worktree."""
+    and a tree, such as a ``worktree_digest``."""
     base_tree = ws.tree_digest(cp.commit if isinstance(cp, Checkpoint) else cp)
-    worktree = ws.worktree_digest()
     # Raw lines (":<modes> <shas> <code>\t<path>") come first, then numstat
     # lines ("<added>\t<deleted>\t<path>", "-" for binary files).
-    out = ws._git("diff-tree", "-r", "--raw", "--numstat", "--no-abbrev", base_tree, worktree).stdout
+    out = ws._git("diff-tree", "-r", "--raw", "--numstat", "--no-abbrev", base_tree, tree).stdout
 
     kinds: dict[str, str] = {}
     deltas: dict[str, int] = {}

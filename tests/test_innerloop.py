@@ -393,14 +393,40 @@ def test_round_retry_then_validate(toy_workspace, toy_contract, tmp_path):
     assert detail in prompt2
 
 
+def test_judge_agent_edits_never_reach_the_checkpoint(toy_workspace, toy_contract, tmp_path):
+    # The checkpoint is the tree the gates checked: what the Judge agent
+    # writes after them is neither measured nor committed, and is gone after.
+    ws = toy_workspace
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    toy.write_script(
+        scripts / "implementer_r0_a1.jsonl",
+        [{"step": "apply_patch", "patch": toy.new_file_diff("candidate/run", toy.V0)}],
+    )
+    toy.write_script(
+        scripts / "judge_r0_a1.jsonl",
+        [
+            {"step": "apply_patch", "patch": toy.modify_diff("candidate/run", toy.V0, toy.V_WRONG)},
+            {"step": "apply_patch", "patch": toy.new_file_diff("candidate/notes.txt", "unchecked\n", "100644")},
+        ],
+    )
+    _, result = run_round(ws, with_retries(toy_contract, 1), tmp_path, scripts)
+
+    assert result.status is RoundStatus.VALIDATED
+    assert ws._git("ls-tree", "-r", "--name-only", "round-0").stdout.split() == [".gitignore", "candidate/run"]
+    assert ws._git("show", "round-0:candidate/run").stdout == toy.V0
+    assert (ws.candidate_root / "run").read_text() == toy.V0
+    assert not (ws.candidate_root / "notes.txt").exists()
+
+
 def test_round_start_positioning_revert_carries_tree_digest(toy_workspace, toy_contract, tmp_path):
     # Every revert event, the round-start one included, names the commit,
     # the reason and the tree it restored.
     ws = toy_workspace
     write_candidate(ws, toy.candidate_source(0.0))
-    earlier = commit_checkpoint(ws, 0, MetricReport(1.0, "tok_per_s", True), Verdict(violations=()))
+    earlier = commit_checkpoint(ws, 0, MetricReport(1.0, "tok_per_s", True), Verdict((), ws.worktree_digest()))
     (ws.candidate_root / "later.txt").write_text("later\n")
-    commit_checkpoint(ws, 1, MetricReport(2.0, "tok_per_s", True), Verdict(violations=()))
+    commit_checkpoint(ws, 1, MetricReport(2.0, "tok_per_s", True), Verdict((), ws.worktree_digest()))
     directive = RoundDirective(start=earlier, task_text="improve it", pass_criteria=())
     run_round(ws, with_retries(toy_contract, 1), tmp_path, tmp_path / "no-scripts", directive)
 

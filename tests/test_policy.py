@@ -492,6 +492,19 @@ def test_ralph_history_accumulates_in_order(toy_workspace):
     assert "round 0" in lines[0] and "round 1" in lines[1] and "round 2" in lines[2]
 
 
+def test_ralph_history_file_bytes(toy_workspace):
+    # One line per round, a newline after each, whatever the feedback ends with.
+    policy = RalphPolicy(toy_workspace, task_text="fixed")
+    policy.end_round(policy.begin_round(0), validated(0), 0, kept=True)
+    policy.end_round(policy.begin_round(1), failed(("build failed (2): boom\n\n",)), 1, kept=False)
+    policy.end_round(policy.begin_round(2), validated(2, metric=90.0), 2, kept=False)
+    assert (toy_workspace.root / "RALPH_HISTORY.md").read_bytes() == (
+        b"- round 0: validated, metric 100 tok_per_s\n"
+        b"- round 1: failed_budget; build failed (2): boom\n"
+        b"- round 2: validated, metric 90 tok_per_s (regressed; reverted to best)\n"
+    )
+
+
 def test_ralph_identical_state_identical_directive(toy_workspace):
     policy = RalphPolicy(toy_workspace, task_text="fixed")
     assert policy.begin_round(2).task_text == policy.begin_round(2).task_text

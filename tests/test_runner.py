@@ -539,3 +539,95 @@ def test_harness_that_never_starts_is_a_setup_error(tmp_path):
         )
     kinds = [e.kind for e in read_ledger(tmp_path / "ledger.jsonl")]
     assert "round_finished" not in kinds
+
+
+def run_committing_agent(tmp_path, candidates):
+    """An agent-mode run of the ralph policy whose Implementer writes
+    ``candidates[round]`` and commits it with git itself; the Judge and the
+    Evaluator do nothing. Returns the outcome and a git runner on the workspace."""
+    import fuzz
+
+    config = fuzz.write_fuzz_target(tmp_path / "target", max_rounds=len(candidates), retry_budget=1)
+    payloads = tmp_path / "payloads"
+    payloads.mkdir()
+    for k, source in enumerate(candidates):
+        (payloads / f"run{k}").write_text(source)
+    agent = tmp_path / "committing_agent.sh"
+    agent.write_text(
+        "#!/bin/sh\n"
+        '[ "$2" = Implementer ] || exit 0\n'
+        'r=${3##*implementer-r}; r=${r%%-*}\n'
+        f'cp "{payloads}/run$r" "$1/candidate/run" && chmod +x "$1/candidate/run"\n'
+        'git -C "$1" add -A && git -C "$1" commit -qm "agent wip"\n'
+    )
+    agent.chmod(0o755)
+    outcome = run_target(
+        load_contract(config),
+        workspace_root=tmp_path / "ws",
+        ledger_path=tmp_path / "ledger.jsonl",
+        policy_name="ralph",
+        mode="agent",
+        harness_cmd=f"{agent} {{workspace}} {{role}} {{prompt_file}}",
+    )
+
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], cwd=tmp_path / "ws", capture_output=True, text=True, check=True
+        ).stdout.split()
+
+    return outcome, git
+
+
+def test_an_agent_that_commits_still_checkpoints_the_checked_tree(tmp_path):
+    outcome, git = run_committing_agent(tmp_path, [chars_candidate(100), chars_candidate(120)])
+    assert outcome.checkpoints == 2
+    baseline = git("rev-list", "--max-parents=0", "main")
+    # Each checkpoint's parent is the previous checkpoint, not the agent's commit.
+    assert git("rev-parse", "round-0^", "round-1^") == baseline + git("rev-parse", "round-0")
+    assert git("rev-parse", "main") == git("rev-parse", "round-1") == [outcome.best.commit]
+    assert "wip" not in git("log", "--format=%s", "main")
+
+
+def test_a_failed_round_drops_the_agents_commit_from_main(tmp_path):
+    import fuzz
+
+    outcome, git = run_committing_agent(tmp_path, [chars_candidate(100), fuzz.wrong_candidate(1)])
+    assert outcome.checkpoints == 1
+    statuses = [e.payload["status"] for e in read_ledger(tmp_path / "ledger.jsonl") if e.kind == "round_finished"]
+    assert statuses == ["validated", "failed_budget"]
+    assert git("rev-parse", "main") == git("rev-parse", "round-0")
+    assert "wip" not in git("log", "--format=%s", "main")
+    assert (tmp_path / "ws" / "candidate" / "run").read_text() == chars_candidate(100)
+
+
+@pytest.mark.parametrize("cause", ["unknown policy", "unbindable socket"])
+def test_setup_that_fails_after_the_ledger_opens_leaks_nothing(cause, tmp_path, monkeypatch):
+    import tempfile
+
+    from forgeloop import runner
+    from forgeloop.mcp import TransportUnavailable
+
+    # A socket path past the AF_UNIX length cap cannot bind.
+    tmp = tmp_path / ("t" * 100 if cause == "unbindable socket" else "t")
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    closed = []
+
+    class Ledger(runner.LedgerWriter):
+        def close(self):
+            closed.append(self.path)
+            super().close()
+
+    monkeypatch.setattr(runner, "LedgerWriter", Ledger)
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    with pytest.raises((RunSetupError, TransportUnavailable)):
+        run_target(
+            fast_target(tmp_path, max_rounds=1, retry_budget=1),
+            workspace_root=tmp_path / "ws",
+            ledger_path=tmp_path / "ledger.jsonl",
+            policy_name="no_such_policy" if cause == "unknown policy" else "issue_tracker",
+            stub_scripts=scripts,
+        )
+    assert closed == [tmp_path / "ledger.jsonl"]
+    assert list(tmp.iterdir()) == []

@@ -4,7 +4,8 @@ two call sites. Every agent turn goes through ``innerloop.Agents.turn``, the
 one caller of ``harness.invoke_agent``. A new ad-hoc spawn site or agent
 call site must fail this suite. Every move of HEAD back goes through
 ``innerloop.revert``, the one caller of ``workspace.revert_to`` and the one
-writer of a ``revert`` ledger event."""
+writer of a ``revert`` ledger event. Only the four workspace functions that
+own the refs run a git subcommand that can move one."""
 
 import ast
 from pathlib import Path
@@ -162,3 +163,62 @@ def test_the_walk_catches_a_stray_revert(tmp_path):
         ("rogue.py", "end_round"),
         ("rogue.py", "Runner.regress"),
     }
+
+
+REF_MOVERS = {"commit", "commit-tree", "update-ref", "tag", "reset", "checkout", "branch"}
+REF_OWNERS = {
+    ("workspace.py", name) for name in ("init_workspace", "commit_checkpoint", "revert_to", "discard_worktree")
+}
+
+
+def _git_subcommand(args):
+    """The first literal non-option argument of a git argv (after git's own
+    ``-C <dir>`` / ``-c <key=value>``); None when it is not a literal."""
+    args = iter(args)
+    for arg in args:
+        if not (isinstance(arg, ast.Constant) and isinstance(arg.value, str)):
+            return None
+        if arg.value in ("-C", "-c"):
+            next(args, None)
+        elif not arg.value.startswith("-"):
+            return arg.value
+    return None
+
+
+def ref_move_sites(path: Path):
+    """(file, enclosing qualified name) of each git call in ``path`` whose
+    subcommand can move a ref: ``_git("<sub>", ...)`` or ``["git", "<sub>", ...]``."""
+    sites = []
+    for scope, node in scoped_nodes(path):
+        if isinstance(node, ast.Call) and "_git" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            args = node.args
+        elif isinstance(node, ast.List) and node.elts and getattr(node.elts[0], "value", None) == "git":
+            args = node.elts[1:]
+        else:
+            continue
+        if _git_subcommand(args) in REF_MOVERS:
+            sites.append((path.name, scope))
+    return sites
+
+
+def test_refs_move_only_in_the_workspace_functions_that_own_them():
+    found = {site for path in sorted(SRC.rglob("*.py")) for site in ref_move_sites(path)}
+    assert found == REF_OWNERS
+
+
+def test_the_walk_catches_a_stray_ref_move(tmp_path):
+    rogue = tmp_path / "rogue.py"
+    rogue.write_text(
+        "import subprocess\n"
+        "def retag(ws):\n"
+        "    ws._git('tag', '-f', 'round-0', 'HEAD')\n"
+        "class Agent:\n"
+        "    def save(self, root):\n"
+        "        subprocess.run(['git', '-C', root, 'commit', '-qm', 'wip'])\n"
+        "def harmless(ws):\n"
+        "    ws._git('read-tree', '--reset', '-u', 'tree')\n"
+        "    subprocess.run(['git', 'log', '--format=commit'])\n"
+    )
+    assert set(ref_move_sites(rogue)) == {("rogue.py", "retag"), ("rogue.py", "Agent.save")}

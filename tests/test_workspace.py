@@ -4,11 +4,12 @@ import os
 import random
 import stat
 import subprocess
+import sys
 
 import pytest
 
 from forgeloop.gates.metrics import MetricReport
-from forgeloop.innerloop import Agents, RoundStatus, execute_round
+from forgeloop.innerloop import ACCURACY, Agents, RoundStatus, Verdict, Violation, execute_round
 from forgeloop.mcp import ToolServer
 from forgeloop.policy import IssueTrackerPolicy
 from forgeloop.runner import stub_harness_provider
@@ -30,9 +31,9 @@ from forgeloop.workspace import (
 import toy
 
 
-class FakeVerdict:
-    def __init__(self, passed=True):
-        self.passed = passed
+def checked(ws):
+    """A passed verdict over the current worktree, as ``judge`` returns one."""
+    return Verdict(violations=(), tree=ws.worktree_digest())
 
 
 def metric(value=100.0, unit="tok_per_s", higher=True):
@@ -92,7 +93,7 @@ def test_mounts_are_read_only(toy_workspace):
 def test_commit_checkpoint_trailers_and_head(toy_workspace):
     ws = toy_workspace
     write_candidate(ws)
-    cp = commit_checkpoint(ws, 3, metric(100.0), FakeVerdict())
+    cp = commit_checkpoint(ws, 3, metric(100.0), checked(ws))
     assert ws.head == cp.commit
     assert cp.parent != cp.commit
     message = subprocess.run(
@@ -105,21 +106,36 @@ def test_commit_checkpoint_trailers_and_head(toy_workspace):
 
 def test_commit_checkpoint_unchanged_tree(toy_workspace):
     with pytest.raises(NothingToCommit):
-        commit_checkpoint(toy_workspace, 0, metric(), FakeVerdict())
+        commit_checkpoint(toy_workspace, 0, metric(), checked(toy_workspace))
+
+
+def test_a_held_tag_lock_moves_no_ref(toy_workspace):
+    # main and the round tag move in one transaction: when the tag cannot be
+    # locked, main stays where it was and so does ws.head.
+    ws = toy_workspace
+    write_candidate(ws)
+    head = ws.head
+    lock = ws.root / ".git" / "refs" / "tags" / "round-0.lock"
+    lock.parent.mkdir(parents=True, exist_ok=True)
+    lock.write_text("")
+    with pytest.raises(WorkspaceError):
+        commit_checkpoint(ws, 0, metric(), checked(ws))
+    assert ws.head == head
+    assert ws._git("rev-parse", "main").stdout.strip() == head
 
 
 def test_commit_checkpoint_requires_passed_verdict(toy_workspace):
     write_candidate(toy_workspace)
     with pytest.raises(VerdictNotPassed):
-        commit_checkpoint(toy_workspace, 0, metric(), FakeVerdict(passed=False))
+        commit_checkpoint(toy_workspace, 0, metric(), Verdict((Violation(ACCURACY, "wrong"),)))
 
 
 def test_revert_round_trip_tree_digest(toy_workspace):
     ws = toy_workspace
     write_candidate(ws, text="#!/bin/sh\necho v1\n")
-    cp_a = commit_checkpoint(ws, 0, metric(1.0), FakeVerdict())
+    cp_a = commit_checkpoint(ws, 0, metric(1.0), checked(ws))
     write_candidate(ws, text="#!/bin/sh\necho v2\n")
-    cp_b = commit_checkpoint(ws, 1, metric(2.0), FakeVerdict())
+    cp_b = commit_checkpoint(ws, 1, metric(2.0), checked(ws))
     assert cp_b.parent == cp_a.commit
 
     revert_to(ws, cp_a)
@@ -145,7 +161,7 @@ def test_revert_unknown_commit(toy_workspace):
 def test_revert_leaves_mounts_untouched(toy_workspace):
     ws = toy_workspace
     write_candidate(ws)
-    cp = commit_checkpoint(ws, 0, metric(), FakeVerdict())
+    cp = commit_checkpoint(ws, 0, metric(), checked(ws))
     before = [e.digest for e in ws.manifest.entries]
     revert_to(ws, cp)
     assert verify_mounts(ws).intact
@@ -162,7 +178,7 @@ def test_revert_round_trip_fuzzed(toy_workspace):
             (ws.candidate_root / name).write_text(f"content {rng.random()}\n")
         if rng.random() < 0.3 and (ws.candidate_root / "f0.txt").exists():
             (ws.candidate_root / "f0.txt").unlink()
-        cp = commit_checkpoint(ws, round_index, metric(float(round_index + 1)), FakeVerdict())
+        cp = commit_checkpoint(ws, round_index, metric(float(round_index + 1)), checked(ws))
         checkpoints.append(cp)
     for cp in rng.sample(checkpoints, len(checkpoints)):
         revert_to(ws, cp)
@@ -200,10 +216,10 @@ def test_verify_mounts_detects_missing(toy_workspace):
 def test_diff_since_added_file(toy_workspace):
     ws = toy_workspace
     write_candidate(ws, text="#!/bin/sh\necho base\n")
-    cp = commit_checkpoint(ws, 0, metric(), FakeVerdict())
+    cp = commit_checkpoint(ws, 0, metric(), checked(ws))
     lines = "".join(f"line {i}\n" for i in range(10))
     (ws.candidate_root / "extra.txt").write_text(lines)
-    changes = diff_since(ws, cp)
+    changes = diff_since(ws, cp, ws.worktree_digest())
     assert len(changes) == 1
     assert changes[0].path == "candidate/extra.txt"
     assert changes[0].kind == "added"
@@ -213,27 +229,27 @@ def test_diff_since_added_file(toy_workspace):
 def test_diff_since_no_changes(toy_workspace):
     ws = toy_workspace
     write_candidate(ws)
-    cp = commit_checkpoint(ws, 0, metric(), FakeVerdict())
-    assert diff_since(ws, cp) == ()
+    cp = commit_checkpoint(ws, 0, metric(), checked(ws))
+    assert diff_since(ws, cp, ws.worktree_digest()) == ()
 
 
 def test_diff_since_reverted_edit_is_empty(toy_workspace):
     ws = toy_workspace
     path = write_candidate(ws, text="#!/bin/sh\necho original\n")
-    cp = commit_checkpoint(ws, 0, metric(), FakeVerdict())
+    cp = commit_checkpoint(ws, 0, metric(), checked(ws))
     path.write_text("#!/bin/sh\necho changed\n")
     path.write_text("#!/bin/sh\necho original\n")
-    assert diff_since(ws, cp) == ()
+    assert diff_since(ws, cp, ws.worktree_digest()) == ()
 
 
 def test_diff_since_modification_and_delete(toy_workspace):
     ws = toy_workspace
     path = write_candidate(ws, text="a\nb\nc\n")
     (ws.candidate_root / "gone.txt").write_text("x\n")
-    cp = commit_checkpoint(ws, 0, metric(), FakeVerdict())
+    cp = commit_checkpoint(ws, 0, metric(), checked(ws))
     path.write_text("a\nc\n")
     (ws.candidate_root / "gone.txt").unlink()
-    changes = {c.path: c for c in diff_since(ws, cp)}
+    changes = {c.path: c for c in diff_since(ws, cp, ws.worktree_digest())}
     assert changes["candidate/run"].kind == "modified"
     assert changes["candidate/run"].line_delta == -1
     assert changes["candidate/gone.txt"].kind == "deleted"
@@ -242,12 +258,12 @@ def test_diff_since_modification_and_delete(toy_workspace):
 def test_checkpoints_reachable_from_baseline_after_revert(toy_workspace):
     ws = toy_workspace
     write_candidate(ws, text="v1\n")
-    cp1 = commit_checkpoint(ws, 0, metric(1.0), FakeVerdict())
+    cp1 = commit_checkpoint(ws, 0, metric(1.0), checked(ws))
     write_candidate(ws, text="v2\n")
-    cp2 = commit_checkpoint(ws, 1, metric(2.0), FakeVerdict())
+    cp2 = commit_checkpoint(ws, 1, metric(2.0), checked(ws))
     revert_to(ws, cp1)
     write_candidate(ws, text="v3\n")
-    cp3 = commit_checkpoint(ws, 2, metric(3.0), FakeVerdict())
+    cp3 = commit_checkpoint(ws, 2, metric(3.0), checked(ws))
     # Every checkpoint stays reachable via its round tag; parents chain back.
     for cp in (cp1, cp2, cp3):
         out = subprocess.run(
@@ -261,7 +277,7 @@ def test_unknown_commit_raises_from_diff_since_and_tree_digest(toy_workspace):
     ws = toy_workspace
     ghost = "0" * 40
     with pytest.raises(UnknownCommit):
-        diff_since(ws, ghost)
+        diff_since(ws, ghost, ws.worktree_digest())
     with pytest.raises(UnknownCommit):
         ws.tree_digest(ghost)
     with pytest.raises(UnknownCommit):  # a tree id is not a commit
@@ -272,10 +288,10 @@ def test_diff_since_binary_file_has_zero_line_delta(toy_workspace):
     ws = toy_workspace
     write_candidate(ws)
     (ws.candidate_root / "weights.bin").write_bytes(bytes(range(256)))
-    cp = commit_checkpoint(ws, 0, metric(), FakeVerdict())
+    cp = commit_checkpoint(ws, 0, metric(), checked(ws))
     (ws.candidate_root / "weights.bin").write_bytes(bytes(range(256)) * 2)
     (ws.candidate_root / "new.bin").write_bytes(b"\0\1\2")
-    changes = [(c.path, c.kind, c.line_delta) for c in diff_since(ws, cp)]
+    changes = [(c.path, c.kind, c.line_delta) for c in diff_since(ws, cp, ws.worktree_digest())]
     assert changes == [("candidate/new.bin", "added", 0), ("candidate/weights.bin", "modified", 0)]
 
 
@@ -284,9 +300,10 @@ def test_restore_tree_undoes_every_evaluator_edit(toy_workspace):
     stable = write_candidate(ws, "stable.txt", "aaaa\n")
     changed = write_candidate(ws, "changed.txt", "v1\n")
     doomed = write_candidate(ws, "doomed.txt", "keep me\n")
-    commit_checkpoint(ws, 0, metric(), FakeVerdict())
+    commit_checkpoint(ws, 0, metric(), checked(ws))
     changed.write_text("v2 from this round\n")
     snapshot = ws.worktree_digest()
+    restore_tree(ws, snapshot)  # as a round does before its Evaluator phase
 
     # Evaluator edits: same size and mtime on a file unchanged since HEAD,
     # a file changed this round, a deletion, a staged file, an untracked file.
@@ -325,11 +342,11 @@ def test_validated_round_git_calls(toy_workspace, toy_contract, tmp_path, monkey
     contract = toy_contract._replace(budgets=toy_contract.budgets._replace(retry_budget=1))
     agents = Agents(stub_harness_provider(scripts, 30), server=server, allowed_tools=policy.allowed_tools)
 
-    calls = []
+    calls = []  # (calling function, git subcommand)
     original = Workspace._git
 
     def counting(self, *args, **kwargs):
-        calls.append(args[0])
+        calls.append((sys._getframe(1).f_code.co_name, args[0]))
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(Workspace, "_git", counting)
@@ -338,7 +355,9 @@ def test_validated_round_git_calls(toy_workspace, toy_contract, tmp_path, monkey
     finally:
         server.shutdown()
     assert result.status is RoundStatus.VALIDATED
-    assert len(calls) <= 13, calls
+    assert len(calls) <= 10, calls
+    # The checkpoint commits the checked tree and moves its refs by id.
+    assert [cmd for caller, cmd in calls if caller == "commit_checkpoint"] == ["commit-tree", "update-ref"]
 
 
 def test_git_copies_the_environment_only_to_add_variables(toy_workspace, monkeypatch):
