@@ -38,6 +38,7 @@ from forgeloop.harness import (
     Completed,
     HarnessConfig,
     PromptBundle,
+    SpawnFailed,
     assemble_prompt,
     invoke_agent,
     run_bounded,
@@ -46,8 +47,9 @@ from forgeloop.mcp import Session, ToolServer
 from forgeloop.skills import SkillLibrary, retrieve
 from forgeloop.workspace import (
     Checkpoint,
-    NothingToCommit,
+    MountFailed,
     Workspace,
+    WorkspaceError,
     commit_checkpoint,
     diff_since,
     discard_worktree,
@@ -475,13 +477,11 @@ def execute_round(
     scan_config: ScanConfig = ScanConfig(),
 ) -> RoundResult:
     """Drive one round to a RoundResult; the repo head moves only on success.
-    The Implementer gets ``contract.budgets.retry_budget`` attempts."""
+    The Implementer gets ``contract.budgets.retry_budget`` attempts. A round
+    that cannot go on ends as ``error`` at the one error boundary below. It
+    lets through only what ends the run: a harness that cannot start in
+    round 0, and ``MountFailed`` (a mount's source drifted since init)."""
     ledger = agents.ledger
-    if directive.start is not None and ws.head != directive.start.commit:
-        revert(ws, directive.start, "round start positioning", ledger, round_index)
-
-    skills = tuple(retrieve(library, directive.task_text, 3)) if library is not None else ()
-
     feedback: Optional[str] = None
     feedback_log: list[str] = []
     verdict: Optional[Verdict] = None
@@ -507,69 +507,77 @@ def execute_round(
         restore_mounts(ws)
         return result
 
-    passed_attempt = 0
-    for attempt in range(1, contract.budgets.retry_budget + 1):
-        bundle = assemble_prompt(
-            AgentRole.IMPLEMENTER,
-            directive.task_text,
-            directive.pass_criteria,
-            skills,
-            feedback=feedback,
-            instructions=contract.instructions,
-        )
-        agents.turn(ws, bundle, round_index, attempt)
-        try:
-            verdict = judge(ws, directive, contract, agents, round_index, attempt, scan_config)
-        except CheckerUnrunnable as exc:
-            record_verdict(attempt, [Violation(ACCURACY, str(exc))])
-            return fail_round(RoundStatus.ERROR, [str(exc)])
-        record_verdict(attempt, verdict.violations)
-
-        if any(v.kind == TAMPER for v in verdict.violations):
-            return tamper_exit(verdict.violations)
-
-        if verdict.passed:
-            passed_attempt = attempt
-            break
-        details = [v.detail for v in verdict.violations]
-        feedback_log.extend(details)
-        feedback = "\n".join(f"- {v.kind}: {v.detail}" for v in verdict.violations)
-
-    if verdict is None or not verdict.passed:
-        return fail_round(RoundStatus.FAILED_BUDGET, feedback_log)
-
-    # Evaluator phase: measure the checked tree, then drop the Judge agent's
-    # and the Evaluator phase's edits before the checkpoint commits it.
-    restore_tree(ws, verdict.tree)
     try:
+        if directive.start is not None and ws.head != directive.start.commit:
+            revert(ws, directive.start, "round start positioning", ledger, round_index)
+
+        skills = tuple(retrieve(library, directive.task_text, 3)) if library is not None else ()
+
+        passed_attempt = 0
+        for attempt in range(1, contract.budgets.retry_budget + 1):
+            bundle = assemble_prompt(
+                AgentRole.IMPLEMENTER,
+                directive.task_text,
+                directive.pass_criteria,
+                skills,
+                feedback=feedback,
+                instructions=contract.instructions,
+            )
+            agents.turn(ws, bundle, round_index, attempt)
+            try:
+                verdict = judge(ws, directive, contract, agents, round_index, attempt, scan_config)
+            except CheckerUnrunnable as exc:
+                record_verdict(attempt, [Violation(ACCURACY, str(exc))])
+                raise
+            record_verdict(attempt, verdict.violations)
+
+            if any(v.kind == TAMPER for v in verdict.violations):
+                return tamper_exit(verdict.violations)
+
+            if verdict.passed:
+                passed_attempt = attempt
+                break
+            details = [v.detail for v in verdict.violations]
+            feedback_log.extend(details)
+            feedback = "\n".join(f"- {v.kind}: {v.detail}" for v in verdict.violations)
+
+        if verdict is None or not verdict.passed:
+            return fail_round(RoundStatus.FAILED_BUDGET, feedback_log)
+
+        # Evaluator phase: measure the checked tree, then drop the Judge agent's
+        # and the Evaluator phase's edits before the checkpoint commits it.
+        restore_tree(ws, verdict.tree)
         report, hints = evaluate(ws, contract, agents, round_index)
-    except (BenchmarkFailed, MetricParseError) as exc:
-        return fail_round(RoundStatus.ERROR, [str(exc)])
-    restore_tree(ws, verdict.tree)
+        restore_tree(ws, verdict.tree)
 
-    # End-of-round mount verification: the Evaluator phase must not have
-    # touched an artifact either; a tampered round never checkpoints.
-    end_tamper = _tamper_violations(ws)
-    if end_tamper:
-        record_verdict(passed_attempt, end_tamper)
-        return tamper_exit(end_tamper)
+        # End-of-round mount verification: the Evaluator phase must not have
+        # touched an artifact either; a tampered round never checkpoints.
+        end_tamper = _tamper_violations(ws)
+        if end_tamper:
+            record_verdict(passed_attempt, end_tamper)
+            return tamper_exit(end_tamper)
 
-    try:
         checkpoint = commit_checkpoint(ws, round_index, report, verdict)
-    except NothingToCommit as exc:
-        # A passing round that changed nothing has no build to record.
-        return fail_round(RoundStatus.ERROR, [str(exc)])
-    if ledger is not None:
-        ledger.append(
-            "checkpoint",
-            round_index,
-            {
-                "commit": checkpoint.commit,
-                "parent": checkpoint.parent,
-                "metric": checkpoint.metric,
-                "unit": checkpoint.unit,
-                "higher_is_better": checkpoint.higher_is_better,
-                "tree_digest": checkpoint.tree_digest,
-            },
-        )
-    return RoundResult(status=RoundStatus.VALIDATED, commit=checkpoint, metric=report, hints=hints)
+        if ledger is not None:
+            ledger.append(
+                "checkpoint",
+                round_index,
+                {
+                    "commit": checkpoint.commit,
+                    "parent": checkpoint.parent,
+                    "metric": checkpoint.metric,
+                    "unit": checkpoint.unit,
+                    "higher_is_better": checkpoint.higher_is_better,
+                    "tree_digest": checkpoint.tree_digest,
+                },
+            )
+        return RoundResult(status=RoundStatus.VALIDATED, commit=checkpoint, metric=report, hints=hints)
+    except MountFailed:
+        raise
+    except SpawnFailed as exc:
+        if round_index == 0:
+            raise  # a harness that never starts is a set-up error
+        detail = f"harness did not start: {exc}"
+    except (CheckerUnrunnable, BenchmarkFailed, MetricParseError, WorkspaceError) as exc:
+        detail = str(exc)
+    return fail_round(RoundStatus.ERROR, [detail])

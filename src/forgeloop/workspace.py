@@ -16,7 +16,8 @@ owner-uid agent process can always restore write permission.
 Every accepted build is a commit on ``main`` tagged ``round-<N>`` so
 checkpoints stay reachable after a revert resets the branch. A checkpoint
 commits the tree the round's gates checked onto the previous checkpoint, so
-an agent's own commits never stay on ``main``.
+an agent's own commits never stay on ``main``, and every round leaves
+``HEAD`` on ``main``, whatever branch an agent switched to.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class WorkspaceError(ForgeloopError):
-    pass
-
-
-class RepoInitFailed(WorkspaceError):
     pass
 
 
@@ -204,24 +201,17 @@ def init_workspace(contract, root: str | Path) -> Workspace:
     if root.exists() and any(root.iterdir()):
         raise WorkspaceError(f"workspace root is not empty: {root}")
     root.mkdir(parents=True, exist_ok=True)
+    ws = Workspace(root=root, manifest=MountManifest(entries=()), head="")
 
     # An empty template skips copying git's sample hooks and info/ into every
     # workspace; it also keeps a user's template hooks off checkpoint commits.
-    proc = subprocess.run(
-        ["git", "init", "-q", "-b", "main", "--template=", str(root)],
-        capture_output=True,
-        text=True,
-    )
-    if proc.returncode != 0:
-        raise RepoInitFailed(proc.stderr.strip())
+    ws._git("init", "-q", "-b", "main", "--template=")
 
     # One append sets identity and signing; each `git config` call would
     # rewrite the whole file.
     with open(root / ".git" / "config", "a", encoding="utf-8") as config:
         config.write("[user]\n\temail = loop@forgeloop.local\n\tname = forgeloop\n"
                      "[commit]\n\tgpgsign = false\n")
-
-    ws = Workspace(root=root, manifest=MountManifest(entries=()), head="")
 
     (root / ".gitignore").write_text("\n".join(_IGNORED) + "\n", encoding="utf-8")
     ws._git("add", ".gitignore")
@@ -323,6 +313,10 @@ def commit_checkpoint(ws: Workspace, round_index: int, metric: "MetricReport", v
     refs = f"update refs/heads/main {commit}\nupdate refs/tags/round-{round_index} {commit}\n"
     ws._git("update-ref", "-m", f"checkpoint: round {round_index}", "--stdin", input=refs)
     ws.head, ws.head_tree = commit, tree
+    # An agent that switched branches left HEAD off ``main``; read first, so
+    # a round that did not pays no git call.
+    if (ws.root / ".git" / "HEAD").read_text(encoding="utf-8") != "ref: refs/heads/main\n":
+        ws._git("symbolic-ref", "HEAD", "refs/heads/main")
     return Checkpoint(
         commit=commit,
         round=round_index,
@@ -335,11 +329,11 @@ def commit_checkpoint(ws: Workspace, round_index: int, metric: "MetricReport", v
 
 
 def revert_to(ws: Workspace, cp: Checkpoint) -> None:
-    """Restore the worktree to the checkpoint's tree; mounts are untouched."""
-    reset = ws._git("reset", "--hard", "-q", f"{cp.commit}^{{commit}}", check=False)
-    if reset.returncode != 0:
+    """Check out ``main`` at the checkpoint, with its tree; mounts are untouched."""
+    checkout = ws._git("checkout", "-q", "-f", "-B", "main", f"{cp.commit}^{{commit}}", check=False)
+    if checkout.returncode != 0:
         ws.tree_digest(cp.commit)  # raises UnknownCommit when that is the cause
-        raise WorkspaceError(f"git reset --hard {cp.commit} failed: {reset.stderr.strip()}")
+        raise WorkspaceError(f"git checkout -B main {cp.commit} failed: {checkout.stderr.strip()}")
     ws._git("clean", "-fdq")
     ws.head, ws.head_tree = cp.commit, cp.tree_digest
 
@@ -351,9 +345,9 @@ def restore_tree(ws: Workspace, tree_digest: str) -> None:
 
 
 def discard_worktree(ws: Workspace) -> None:
-    """Drop the round's edits and any commit an agent made: the worktree,
-    the index and the checked-out branch go back to ``ws.head``."""
-    ws._git("reset", "--hard", "-q", ws.head)
+    """Drop the round's edits and any commit or branch switch an agent made:
+    ``main`` is checked out at ``ws.head``, with its tree and index."""
+    ws._git("checkout", "-q", "-f", "-B", "main", ws.head)
     ws._git("clean", "-fdq")
 
 
@@ -369,7 +363,8 @@ _KIND = {"A": "added", "M": "modified", "D": "deleted"}
 def diff_since(ws: Workspace, cp: "Checkpoint | str", tree: str) -> tuple[Change, ...]:
     """Content-based change summary between a checkpoint (or raw commit id)
     and a tree, such as a ``worktree_digest``."""
-    base_tree = ws.tree_digest(cp.commit if isinstance(cp, Checkpoint) else cp)
+    base = cp.commit if isinstance(cp, Checkpoint) else cp
+    base_tree = ws.head_tree if base == ws.head else ws.tree_digest(base)
     # Raw lines (":<modes> <shas> <code>\t<path>") come first, then numstat
     # lines ("<added>\t<deleted>\t<path>", "-" for binary files).
     out = ws._git("diff-tree", "-r", "--raw", "--numstat", "--no-abbrev", base_tree, tree).stdout

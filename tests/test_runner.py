@@ -9,6 +9,7 @@ from forgeloop.contract import load_contract
 from forgeloop.harness import AgentRole, HarnessConfig, SpawnFailed
 from forgeloop.ledger import read_ledger
 from forgeloop.runner import RunSetupError, run_target
+from forgeloop.workspace import MountFailed
 
 import toy
 
@@ -541,8 +542,9 @@ def test_harness_that_never_starts_is_a_setup_error(tmp_path):
     assert "round_finished" not in kinds
 
 
-def run_committing_agent(tmp_path, candidates):
-    """An agent-mode run of the ralph policy whose Implementer writes
+def run_committing_agent(tmp_path, candidates, before_commit=""):
+    """An agent-mode run of the ralph policy whose Implementer runs the shell
+    line ``before_commit`` (``$1`` is the workspace, ``$r`` the round), writes
     ``candidates[round]`` and commits it with git itself; the Judge and the
     Evaluator do nothing. Returns the outcome and a git runner on the workspace."""
     import fuzz
@@ -557,6 +559,7 @@ def run_committing_agent(tmp_path, candidates):
         "#!/bin/sh\n"
         '[ "$2" = Implementer ] || exit 0\n'
         'r=${3##*implementer-r}; r=${r%%-*}\n'
+        f"{before_commit}\n"
         f'cp "{payloads}/run$r" "$1/candidate/run" && chmod +x "$1/candidate/run"\n'
         'git -C "$1" add -A && git -C "$1" commit -qm "agent wip"\n'
     )
@@ -598,6 +601,100 @@ def test_a_failed_round_drops_the_agents_commit_from_main(tmp_path):
     assert git("rev-parse", "main") == git("rev-parse", "round-0")
     assert "wip" not in git("log", "--format=%s", "main")
     assert (tmp_path / "ws" / "candidate" / "run").read_text() == chars_candidate(100)
+
+
+@pytest.mark.parametrize("last_round", ["validated", "failed_budget"])
+def test_an_agent_that_switches_branches_leaves_head_on_main(last_round, tmp_path):
+    import fuzz
+
+    last = chars_candidate(120) if last_round == "validated" else fuzz.wrong_candidate(1)
+    outcome, git = run_committing_agent(
+        tmp_path, [chars_candidate(100), last], before_commit='git -C "$1" checkout -q -b "agent$r"'
+    )
+    statuses = [e.payload["status"] for e in read_ledger(tmp_path / "ledger.jsonl") if e.kind == "round_finished"]
+    assert statuses == ["validated", last_round]
+    assert git("symbolic-ref", "HEAD") == ["refs/heads/main"]
+    assert git("rev-parse", "HEAD") == git("rev-parse", "main") == [outcome.best.commit]
+
+
+def test_a_ref_that_will_not_move_ends_only_its_round(tmp_path):
+    outcome, git = run_committing_agent(
+        tmp_path,
+        [chars_candidate(100), chars_candidate(120)],
+        # The discarded round 0 took the empty candidate/ directory with it.
+        before_commit='mkdir -p "$1/candidate"; [ "$r" = 0 ] && : > "$1/.git/refs/tags/round-0.lock"',
+    )
+    events = read_ledger(tmp_path / "ledger.jsonl")
+    finished = [e for e in events if e.kind == "round_finished"]
+    assert [e.round for e in events if e.kind == "round_started"] == [e.round for e in finished] == [0, 1]
+    assert finished[0].payload["status"] == "error"
+    assert "cannot lock ref 'refs/tags/round-0'" in finished[0].payload["detail"]
+    assert finished[1].payload["status"] == "validated"
+    assert git("tag") == ["round-1"]
+    # main had not moved: round 1's checkpoint sits on the baseline.
+    assert git("rev-parse", "round-1^") == git("rev-list", "--max-parents=0", "main")
+    assert outcome.checkpoints == 1
+
+
+def test_an_orchestrator_that_cannot_start_leaves_the_pick_to_the_rule(tmp_path, monkeypatch):
+    from forgeloop import runner
+
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    # Round 0's Implementer files a low-impact issue (2), then a high-impact one (3).
+    filed = [
+        {"step": "call_tool", "name": "file_issue", "arguments": {
+            "title": f"{impact} follow-up", "rationale": "r", "acceptance_criteria": ["checker passes"],
+            "expected_impact": impact}}
+        for impact in ("low", "high")
+    ]
+    toy.write_script(
+        scripts / "implementer_r0_a1.jsonl",
+        [{"step": "apply_patch", "patch": toy.new_file_diff("candidate/run", toy.candidate_source(0.0))}] + filed,
+    )
+    stub = runner.stub_harness_provider(scripts, 60)
+
+    def provider_for(command_template, timeout_s, env_allowlist=()):
+        def provider(role, round_index, attempt):
+            if role is AgentRole.ORCHESTRATOR and round_index == 1:
+                return HarnessConfig(command_template=("/no/such/harness",), timeout_s=timeout_s)
+            return stub(role, round_index, attempt)
+
+        return provider
+
+    monkeypatch.setattr(runner, "agent_harness_provider", provider_for)
+    outcome = run_target(
+        fast_target(tmp_path, max_rounds=2, retry_budget=1),
+        workspace_root=tmp_path / "ws",
+        ledger_path=tmp_path / "ledger.jsonl",
+        mode="agent",
+        harness_cmd="unused",
+    )
+    assert outcome.rounds_run == 2
+    started = [e for e in read_ledger(tmp_path / "ledger.jsonl") if e.kind == "round_started"]
+    assert [e.payload["issue_id"] for e in started] == [1, 3]
+
+
+def test_a_mount_source_that_drifted_still_ends_the_run(tmp_path):
+    contract = fast_target(tmp_path, max_rounds=2, retry_budget=1)
+    # Every turn tampers with the checker mount and edits its source, so the
+    # restore after the tamper cannot reproduce the digest recorded at init.
+    agent = tmp_path / "drifting_agent.sh"
+    agent.write_text(
+        "#!/bin/sh\n"
+        f'echo "# drifted" >> "{contract.checker}"\n'
+        'chmod u+w "$1/artifacts/checker" && echo "# tampered" >> "$1/artifacts/checker"\n'
+    )
+    agent.chmod(0o755)
+    with pytest.raises(MountFailed, match="drifted since init"):
+        run_target(
+            contract,
+            workspace_root=tmp_path / "ws",
+            ledger_path=tmp_path / "ledger.jsonl",
+            policy_name="ralph",
+            mode="agent",
+            harness_cmd=f"{agent} {{workspace}}",
+        )
 
 
 @pytest.mark.parametrize("cause", ["unknown policy", "unbindable socket"])

@@ -1,6 +1,6 @@
 """Every child the loop starts goes through ``harness.run_bounded``, which
 bounds it by a deadline and kills its whole process tree; git keeps its own
-two call sites. Every agent turn goes through ``innerloop.Agents.turn``, the
+call site. Every agent turn goes through ``innerloop.Agents.turn``, the
 one caller of ``harness.invoke_agent``. A new ad-hoc spawn site or agent
 call site must fail this suite. Every move of HEAD back goes through
 ``innerloop.revert``, the one caller of ``workspace.revert_to`` and the one
@@ -18,7 +18,6 @@ SPAWNERS = {
 ALLOWED = {
     ("harness.py", "run_bounded"),
     ("workspace.py", "Workspace._git"),
-    ("workspace.py", "init_workspace"),
     # The stub runs inside the agent's process group, and it cannot import
     # the package: it is launched by file path without site.
     ("stubagent.py", "_apply_patch.run_apply"),
@@ -165,7 +164,7 @@ def test_the_walk_catches_a_stray_revert(tmp_path):
     }
 
 
-REF_MOVERS = {"commit", "commit-tree", "update-ref", "tag", "reset", "checkout", "branch"}
+REF_MOVERS = {"commit", "commit-tree", "update-ref", "symbolic-ref", "tag", "reset", "checkout", "branch"}
 REF_OWNERS = {
     ("workspace.py", name) for name in ("init_workspace", "commit_checkpoint", "revert_to", "discard_worktree")
 }

@@ -355,7 +355,7 @@ def test_validated_round_git_calls(toy_workspace, toy_contract, tmp_path, monkey
     finally:
         server.shutdown()
     assert result.status is RoundStatus.VALIDATED
-    assert len(calls) <= 10, calls
+    assert len(calls) <= 9, calls
     # The checkpoint commits the checked tree and moves its refs by id.
     assert [cmd for caller, cmd in calls if caller == "commit_checkpoint"] == ["commit-tree", "update-ref"]
 
