@@ -31,18 +31,6 @@ class UnknownField(ContractError):
     pass
 
 
-class PathNotFound(ContractError):
-    def __init__(self, path: Path, role: str):
-        super().__init__(f"{role} path does not exist: {path}")
-        self.path = path
-
-
-class NotExecutable(ContractError):
-    def __init__(self, path: Path, role: str):
-        super().__init__(f"{role} is not executable: {path}")
-        self.path = path
-
-
 DEFAULT_MAX_ROUNDS = 15
 DEFAULT_RETRY_BUDGET = 3
 DEFAULT_ROUND_WALL_CLOCK_S = 3600
@@ -102,10 +90,9 @@ def _require(doc: dict, key: str):
 
 
 def load_contract(config_path: str | Path) -> TargetContract:
-    """Load and check a target config; all returned paths are absolute.
-
-    Existence is enforced for the reference implementation, checker, and
-    benchmark, and the executable bit for checker and benchmark. Weights
+    """Load and check a target config's schema; all returned paths are
+    absolute. Whether the artifacts exist and run is
+    :func:`validate_contract`'s question, which every run asks first. Weights
     stay an opaque pointer handed to agents verbatim.
     """
     config_path = Path(config_path).resolve()
@@ -132,13 +119,6 @@ def load_contract(config_path: str | Path) -> TargetContract:
     weights = resolve("weights")
     checker = resolve("checker")
     benchmark = resolve("benchmark")
-
-    for role, p in (("reference_impl", reference_impl), ("checker", checker), ("benchmark", benchmark)):
-        if not p.exists():
-            raise PathNotFound(p, role)
-    for role, p in (("checker", checker), ("benchmark", benchmark)):
-        if not os.access(p, os.X_OK):
-            raise NotExecutable(p, role)
 
     budgets_doc = doc.get("budgets", {})
     if not isinstance(budgets_doc, dict):

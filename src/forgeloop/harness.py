@@ -143,7 +143,8 @@ def invoke_agent(
     The session on ``server`` brackets the spawn and is the turn's record:
     its tool calls and the result it emitted. The ``invocation`` event on
     ``ledger`` is the turn's account: exit kind and code, stderr tail,
-    duration, tool-call count and prompt digest. The child is launched in
+    duration, tool-call count and prompt digest, written before a harness
+    that cannot start raises :class:`SpawnFailed`. The child is launched in
     its own session group so a timeout can kill the whole process tree; on
     timeout the worktree is left as-is for the Judge to inspect.
     ``{endpoint}`` expands to the server's socket path (``""`` when unbound).
@@ -172,14 +173,16 @@ def invoke_agent(
     # A wall-clock stamp for the ledger; the duration comes from the
     # monotonic clock, so a clock step during the turn cannot skew it.
     started = time.time()
+    launch_error: Optional[OSError] = None
     try:
         done = run_bounded(command, workspace_root, cfg.timeout_s, env=_sanitized_env(cfg.env_allowlist))
     except OSError as exc:
-        server.end_session()
-        raise SpawnFailed(f"cannot launch harness {command[0]!r}: {exc}") from exc
+        # A crash with no exit code, whose stderr is the launch error.
+        launch_error = exc
+        done = Completed(None, "", f"cannot launch harness {command[0]!r}: {exc}", False, 0.0)
     session = server.end_session()
 
-    exit_kind = "timeout" if done.timed_out else "crashed" if done.returncode else "completed"
+    exit_kind = "timeout" if done.timed_out else "completed" if done.returncode == 0 else "crashed"
     if ledger is not None:
         ended = started + done.duration_s  # duration_s is then exactly ended - started
         ledger.append(
@@ -198,6 +201,8 @@ def invoke_agent(
                 "prompt_digest": prompt_digest(document),
             },
         )
+    if launch_error is not None:
+        raise SpawnFailed(done.stderr) from launch_error
     return session
 
 

@@ -292,7 +292,7 @@ def _run_build(ws: Workspace, timeout_s: float) -> Optional[Violation]:
 
 def _tamper_violations(ws: Workspace) -> list[Violation]:
     """One violation per mount whose digest no longer matches its source."""
-    return [Violation(TAMPER, f"mount {f.kind}: {f.mount}") for f in verify_mounts(ws).findings]
+    return [Violation(TAMPER, f"mount {f.kind}: {f.mount}") for f in verify_mounts(ws)]
 
 
 def _parse_agent_verdict(result: object) -> list[Violation]:
@@ -480,15 +480,13 @@ def execute_round(
     The Implementer gets ``contract.budgets.retry_budget`` attempts. A round
     that cannot go on ends as ``error`` at the one error boundary below. It
     lets through only what ends the run: a harness that cannot start in
-    round 0, and ``MountFailed`` (a mount's source drifted since init)."""
+    round 0, and ``MountFailed`` (a mount's source drifted since init).
+    However a round ends, it ends in the one :func:`discard_worktree` of its
+    ``finally``, at ``ws.head``: the new checkpoint, or the round's start."""
     ledger = agents.ledger
     feedback: Optional[str] = None
     feedback_log: list[str] = []
     verdict: Optional[Verdict] = None
-
-    def fail_round(status: RoundStatus, details: Sequence[str]) -> RoundResult:
-        discard_worktree(ws)
-        return RoundResult(status=status, feedback=tuple(details))
 
     def record_verdict(attempt: int, violations: Sequence[Violation]) -> None:
         if ledger is not None:
@@ -503,9 +501,8 @@ def execute_round(
             )
 
     def tamper_exit(violations: Sequence[Violation]) -> RoundResult:
-        result = fail_round(RoundStatus.ERROR, [v.detail for v in violations])
         restore_mounts(ws)
-        return result
+        return RoundResult(status=RoundStatus.ERROR, feedback=tuple(v.detail for v in violations))
 
     try:
         if directive.start is not None and ws.head != directive.start.commit:
@@ -542,13 +539,12 @@ def execute_round(
             feedback = "\n".join(f"- {v.kind}: {v.detail}" for v in verdict.violations)
 
         if verdict is None or not verdict.passed:
-            return fail_round(RoundStatus.FAILED_BUDGET, feedback_log)
+            return RoundResult(status=RoundStatus.FAILED_BUDGET, feedback=tuple(feedback_log))
 
-        # Evaluator phase: measure the checked tree, then drop the Judge agent's
-        # and the Evaluator phase's edits before the checkpoint commits it.
+        # Evaluator phase: measure the checked tree, which the checkpoint
+        # commits; the final reset drops the Judge's and Evaluator's edits.
         restore_tree(ws, verdict.tree)
         report, hints = evaluate(ws, contract, agents, round_index)
-        restore_tree(ws, verdict.tree)
 
         # End-of-round mount verification: the Evaluator phase must not have
         # touched an artifact either; a tampered round never checkpoints.
@@ -580,4 +576,6 @@ def execute_round(
         detail = f"harness did not start: {exc}"
     except (CheckerUnrunnable, BenchmarkFailed, MetricParseError, WorkspaceError) as exc:
         detail = str(exc)
-    return fail_round(RoundStatus.ERROR, [detail])
+    finally:
+        discard_worktree(ws)
+    return RoundResult(status=RoundStatus.ERROR, feedback=(detail,))

@@ -8,9 +8,9 @@ Layout under the workspace root:
     candidate/       the agent-writable serving-system tree
     MEMORY.md, ISSUES.jsonl, ...   policy state, never committed
 
-Mount enforcement is double-layered: files are chmod'd read-only, and a
-digest manifest recorded at init is re-verified after every round. The
-digest check is the portable gate; the chmod is best-effort since an
+Mount enforcement is double-layered: files are chmod'd read-only, and the
+digests recorded at init (``ws.mounts``) are re-verified after every round.
+The digest check is the portable gate; the chmod is best-effort since an
 owner-uid agent process can always restore write permission.
 
 Every accepted build is a commit on ``main`` tagged ``round-<N>`` so
@@ -77,21 +77,9 @@ class MountEntry(NamedTuple):
     digest: str
 
 
-class MountManifest(NamedTuple):
-    entries: tuple[MountEntry, ...]
-
-
 class TamperFinding(NamedTuple):
     mount: str
     kind: str  # "modified" | "missing"
-
-
-class TamperReport(NamedTuple):
-    findings: tuple[TamperFinding, ...]
-
-    @property
-    def intact(self) -> bool:
-        return not self.findings
 
 
 class Checkpoint(NamedTuple):
@@ -139,9 +127,9 @@ def format_metric(value: float) -> str:
 class Workspace:
     """One round at a time; operations are not concurrently callable."""
 
-    def __init__(self, root: Path, manifest: MountManifest, head: str):
+    def __init__(self, root: Path, mounts: tuple[MountEntry, ...], head: str):
         self.root = root
-        self.manifest = manifest
+        self.mounts = mounts  # the digest of each mount, recorded at init
         self.head = head
         self.head_tree = ""  # the tree of ``head``, set wherever ``head`` moves
 
@@ -194,14 +182,14 @@ class Workspace:
 def init_workspace(contract, root: str | Path) -> Workspace:
     """Create the repo, the baseline commit, and the read-only mounts.
 
-    ``root`` must be empty or absent. The manifest records a digest per
+    ``root`` must be empty or absent. ``ws.mounts`` records a digest per
     mounted artifact (reference, checker, benchmark).
     """
     root = Path(root).resolve()
     if root.exists() and any(root.iterdir()):
         raise WorkspaceError(f"workspace root is not empty: {root}")
     root.mkdir(parents=True, exist_ok=True)
-    ws = Workspace(root=root, manifest=MountManifest(entries=()), head="")
+    ws = Workspace(root=root, mounts=(), head="")
 
     # An empty template skips copying git's sample hooks and info/ into every
     # workspace; it also keeps a user's template hooks off checkpoint commits.
@@ -240,26 +228,26 @@ def init_workspace(contract, root: str | Path) -> Workspace:
         _set_readonly(dest)
         entries.append(MountEntry(source=source, mount=dest.relative_to(root), digest=_digest_path(dest)))
 
-    ws.manifest = MountManifest(entries=tuple(entries))
+    ws.mounts = tuple(entries)
     return ws
 
 
-def verify_mounts(ws: Workspace) -> TamperReport:
-    """Re-hash every mount; a nonempty report means an artifact was touched."""
+def verify_mounts(ws: Workspace) -> tuple[TamperFinding, ...]:
+    """Re-hash every mount; a finding means an artifact was touched."""
     findings = []
-    for entry in ws.manifest.entries:
+    for entry in ws.mounts:
         target = ws.root / entry.mount
         if not target.exists():
             findings.append(TamperFinding(mount=str(entry.mount), kind="missing"))
             continue
         if _digest_path(target) != entry.digest:
             findings.append(TamperFinding(mount=str(entry.mount), kind="modified"))
-    return TamperReport(findings=tuple(findings))
+    return tuple(findings)
 
 
 def restore_mounts(ws: Workspace) -> None:
     """Re-copy tampered mounts from their sources (recovery after detection)."""
-    for entry in ws.manifest.entries:
+    for entry in ws.mounts:
         target = ws.root / entry.mount
         if target.exists() and _digest_path(target) == entry.digest:
             continue
@@ -293,8 +281,10 @@ def commit_checkpoint(ws: Workspace, round_index: int, metric: "MetricReport", v
 
     The commit's parent is ``ws.head``, whatever the agents committed
     meanwhile; ``main`` and ``round-<N>`` move together or not at all. The
-    commit message carries machine-readable trailers (Round / Metric /
-    Verdict) so any policy can reconstruct history from the repo alone.
+    worktree and ``HEAD`` are left to :func:`discard_worktree`, which ends
+    every round. The commit message carries machine-readable trailers (Round
+    / Metric / Verdict) so any policy can reconstruct history from the repo
+    alone.
     """
     if not getattr(verdict, "passed", False):
         raise VerdictNotPassed(f"round {round_index} verdict did not pass")
@@ -313,10 +303,6 @@ def commit_checkpoint(ws: Workspace, round_index: int, metric: "MetricReport", v
     refs = f"update refs/heads/main {commit}\nupdate refs/tags/round-{round_index} {commit}\n"
     ws._git("update-ref", "-m", f"checkpoint: round {round_index}", "--stdin", input=refs)
     ws.head, ws.head_tree = commit, tree
-    # An agent that switched branches left HEAD off ``main``; read first, so
-    # a round that did not pays no git call.
-    if (ws.root / ".git" / "HEAD").read_text(encoding="utf-8") != "ref: refs/heads/main\n":
-        ws._git("symbolic-ref", "HEAD", "refs/heads/main")
     return Checkpoint(
         commit=commit,
         round=round_index,
@@ -328,27 +314,40 @@ def commit_checkpoint(ws: Workspace, round_index: int, metric: "MetricReport", v
     )
 
 
+def _clean(ws: Workspace) -> None:
+    # git drops candidate/ with its last tracked file; agents write into it.
+    ws._git("clean", "-fdq")
+    ws.candidate_root.mkdir(exist_ok=True)
+
+
+def _check_out_main(ws: Workspace, commit: str) -> None:
+    # Every agent's process group is dead by now (run_bounded kills it), so
+    # an index lock left behind is stale and would only block the checkout.
+    (ws.root / ".git" / "index.lock").unlink(missing_ok=True)
+    checkout = ws._git("checkout", "-q", "-f", "-B", "main", f"{commit}^{{commit}}", check=False)
+    if checkout.returncode != 0:
+        ws.tree_digest(commit)  # raises UnknownCommit when that is the cause
+        raise WorkspaceError(f"git checkout -B main {commit} failed: {checkout.stderr.strip()}")
+    _clean(ws)
+
+
 def revert_to(ws: Workspace, cp: Checkpoint) -> None:
     """Check out ``main`` at the checkpoint, with its tree; mounts are untouched."""
-    checkout = ws._git("checkout", "-q", "-f", "-B", "main", f"{cp.commit}^{{commit}}", check=False)
-    if checkout.returncode != 0:
-        ws.tree_digest(cp.commit)  # raises UnknownCommit when that is the cause
-        raise WorkspaceError(f"git checkout -B main {cp.commit} failed: {checkout.stderr.strip()}")
-    ws._git("clean", "-fdq")
+    _check_out_main(ws, cp.commit)
     ws.head, ws.head_tree = cp.commit, cp.tree_digest
 
 
 def restore_tree(ws: Workspace, tree_digest: str) -> None:
     """Reset worktree content (not HEAD) to a previously snapshotted tree."""
     ws._git("read-tree", "--reset", "-u", tree_digest)
-    ws._git("clean", "-fdq")
+    _clean(ws)
 
 
 def discard_worktree(ws: Workspace) -> None:
-    """Drop the round's edits and any commit or branch switch an agent made:
-    ``main`` is checked out at ``ws.head``, with its tree and index."""
-    ws._git("checkout", "-q", "-f", "-B", "main", ws.head)
-    ws._git("clean", "-fdq")
+    """End a round: check ``main`` out at ``ws.head`` (the new checkpoint, or
+    the round's start), dropping the round's edits and any commit or branch
+    switch an agent made."""
+    _check_out_main(ws, ws.head)
 
 
 class Change(NamedTuple):

@@ -6,8 +6,6 @@ import pytest
 
 from forgeloop.contract import (
     MissingField,
-    NotExecutable,
-    PathNotFound,
     RoundBudget,
     UnknownField,
     load_contract,
@@ -47,21 +45,14 @@ def test_missing_checker_field(tmp_path):
     assert exc.value.field == "checker"
 
 
-def test_nonexistent_checker_path(tmp_path):
-    config = toy.write_target(tmp_path / "t")
-    doc = json.loads(config.read_text())
-    doc["checker"] = "no-such-checker"
-    config.write_text(json.dumps(doc))
-    with pytest.raises(PathNotFound) as exc:
-        load_contract(config)
-    assert "no-such-checker" in str(exc.value)
-
-
 def test_non_executable_benchmark(tmp_path):
     config = toy.write_target(tmp_path / "t")
     (tmp_path / "t" / "benchmark").chmod(0o644)
-    with pytest.raises(NotExecutable):
-        load_contract(config)
+    contract = load_contract(config)
+    report = validate_contract(contract)
+    assert [(v.subject, v.detail) for v in report.violations] == [
+        ("benchmark", f"not executable: {contract.benchmark}")
+    ]
 
 
 def test_unknown_keys_rejected(tmp_path):

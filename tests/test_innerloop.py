@@ -561,7 +561,7 @@ def test_round_tamper_is_error_with_restored_mounts(toy_workspace, toy_contract,
     assert result.status is RoundStatus.ERROR
     assert any("artifacts/checker" in f for f in result.feedback)
     assert toy_workspace.head == head_before
-    assert verify_mounts(toy_workspace).intact  # restored after detection
+    assert verify_mounts(toy_workspace) == ()  # restored after detection
     assert "Evaluator" not in roles_in(tmp_path / "ledger.jsonl")
 
 

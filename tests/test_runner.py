@@ -621,8 +621,7 @@ def test_a_ref_that_will_not_move_ends_only_its_round(tmp_path):
     outcome, git = run_committing_agent(
         tmp_path,
         [chars_candidate(100), chars_candidate(120)],
-        # The discarded round 0 took the empty candidate/ directory with it.
-        before_commit='mkdir -p "$1/candidate"; [ "$r" = 0 ] && : > "$1/.git/refs/tags/round-0.lock"',
+        before_commit='[ "$r" = 0 ] && : > "$1/.git/refs/tags/round-0.lock"',
     )
     events = read_ledger(tmp_path / "ledger.jsonl")
     finished = [e for e in events if e.kind == "round_finished"]
@@ -634,6 +633,30 @@ def test_a_ref_that_will_not_move_ends_only_its_round(tmp_path):
     # main had not moved: round 1's checkpoint sits on the baseline.
     assert git("rev-parse", "round-1^") == git("rev-list", "--max-parents=0", "main")
     assert outcome.checkpoints == 1
+
+
+def test_a_stale_index_lock_ends_only_its_round(tmp_path):
+    # Round 0's agent leaves .git/index.lock behind: its own commit and the
+    # restore of the checked tree fail, and the round's reset removes it.
+    outcome, git = run_committing_agent(
+        tmp_path,
+        [chars_candidate(100), chars_candidate(120)],
+        before_commit='[ "$r" = 0 ] && : > "$1/.git/index.lock"',
+    )
+    statuses = [e.payload["status"] for e in read_ledger(tmp_path / "ledger.jsonl") if e.kind == "round_finished"]
+    assert statuses == ["error", "validated"]
+    assert git("rev-parse", "main") == git("rev-parse", "round-1") == [outcome.best.commit]
+    assert not (tmp_path / "ws" / ".git" / "index.lock").exists()
+
+
+def test_a_discarded_round_keeps_the_candidate_directory(tmp_path):
+    import fuzz
+
+    # Round 1's agent copies into candidate/ without creating it first.
+    run_committing_agent(tmp_path, [fuzz.wrong_candidate(0), chars_candidate(100)])
+    statuses = [e.payload["status"] for e in read_ledger(tmp_path / "ledger.jsonl") if e.kind == "round_finished"]
+    assert statuses == ["failed_budget", "validated"]
+    assert (tmp_path / "ws" / "candidate" / "run").read_text() == chars_candidate(100)
 
 
 def test_an_orchestrator_that_cannot_start_leaves_the_pick_to_the_rule(tmp_path, monkeypatch):
@@ -671,8 +694,13 @@ def test_an_orchestrator_that_cannot_start_leaves_the_pick_to_the_rule(tmp_path,
         harness_cmd="unused",
     )
     assert outcome.rounds_run == 2
-    started = [e for e in read_ledger(tmp_path / "ledger.jsonl") if e.kind == "round_started"]
-    assert [e.payload["issue_id"] for e in started] == [1, 3]
+    events = read_ledger(tmp_path / "ledger.jsonl")
+    assert [e.payload["issue_id"] for e in events if e.kind == "round_started"] == [1, 3]
+    # The failed turn left its invocation event, which says why.
+    [failed] = [e.payload for e in events
+                if e.kind == "invocation" and e.round == 1 and e.payload["role"] == "Orchestrator"]
+    assert (failed["exit_kind"], failed["exit_code"]) == ("crashed", None)
+    assert failed["stderr_tail"].startswith("cannot launch harness '/no/such/harness'")
 
 
 def test_a_mount_source_that_drifted_still_ends_the_run(tmp_path):

@@ -165,9 +165,7 @@ def test_the_walk_catches_a_stray_revert(tmp_path):
 
 
 REF_MOVERS = {"commit", "commit-tree", "update-ref", "symbolic-ref", "tag", "reset", "checkout", "branch"}
-REF_OWNERS = {
-    ("workspace.py", name) for name in ("init_workspace", "commit_checkpoint", "revert_to", "discard_worktree")
-}
+REF_OWNERS = {("workspace.py", name) for name in ("init_workspace", "commit_checkpoint", "_check_out_main")}
 
 
 def _git_subcommand(args):

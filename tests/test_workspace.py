@@ -49,9 +49,9 @@ def write_candidate(ws, name="run", text="#!/bin/sh\necho hi\n"):
 
 def test_init_creates_manifest_with_three_digests(toy_workspace):
     ws = toy_workspace
-    names = sorted(str(e.mount) for e in ws.manifest.entries)
+    names = sorted(str(e.mount) for e in ws.mounts)
     assert names == ["artifacts/benchmark", "artifacts/checker", "artifacts/reference"]
-    assert all(e.digest for e in ws.manifest.entries)
+    assert all(e.digest for e in ws.mounts)
     assert ws.head  # baseline commit exists
     assert (ws.root / ".git").is_dir()
 
@@ -82,7 +82,7 @@ def test_init_rejects_populated_root(toy_contract, tmp_path):
 def test_reinit_same_contract_same_digests(toy_contract, tmp_path):
     a = init_workspace(toy_contract, tmp_path / "a")
     b = init_workspace(toy_contract, tmp_path / "b")
-    assert [e.digest for e in a.manifest.entries] == [e.digest for e in b.manifest.entries]
+    assert [e.digest for e in a.mounts] == [e.digest for e in b.mounts]
 
 
 def test_mounts_are_read_only(toy_workspace):
@@ -162,10 +162,10 @@ def test_revert_leaves_mounts_untouched(toy_workspace):
     ws = toy_workspace
     write_candidate(ws)
     cp = commit_checkpoint(ws, 0, metric(), checked(ws))
-    before = [e.digest for e in ws.manifest.entries]
+    before = [e.digest for e in ws.mounts]
     revert_to(ws, cp)
-    assert verify_mounts(ws).intact
-    assert [e.digest for e in ws.manifest.entries] == before
+    assert verify_mounts(ws) == ()
+    assert [e.digest for e in ws.mounts] == before
 
 
 def test_revert_round_trip_fuzzed(toy_workspace):
@@ -187,19 +187,18 @@ def test_revert_round_trip_fuzzed(toy_workspace):
 
 def test_verify_mounts_detects_edit_and_restore_recovers(toy_workspace):
     ws = toy_workspace
-    assert verify_mounts(ws).intact
+    assert verify_mounts(ws) == ()
 
     checker = ws.mount_path("checker")
     checker.chmod(0o644)
     with checker.open("a") as fh:
         fh.write("# tampered\n")
-    report = verify_mounts(ws)
-    assert not report.intact
-    assert report.findings[0].mount == "artifacts/checker"
-    assert report.findings[0].kind == "modified"
+    findings = verify_mounts(ws)
+    assert findings[0].mount == "artifacts/checker"
+    assert findings[0].kind == "modified"
 
     restore_mounts(ws)
-    assert verify_mounts(ws).intact
+    assert verify_mounts(ws) == ()
 
 
 def test_verify_mounts_detects_missing(toy_workspace):
@@ -207,10 +206,9 @@ def test_verify_mounts_detects_missing(toy_workspace):
     benchmark = ws.mount_path("benchmark")
     benchmark.chmod(0o755)
     benchmark.unlink()
-    report = verify_mounts(ws)
-    assert any(f.kind == "missing" and "benchmark" in f.mount for f in report.findings)
+    assert any(f.kind == "missing" and "benchmark" in f.mount for f in verify_mounts(ws))
     restore_mounts(ws)
-    assert verify_mounts(ws).intact
+    assert verify_mounts(ws) == ()
 
 
 def test_diff_since_added_file(toy_workspace):
@@ -358,6 +356,8 @@ def test_validated_round_git_calls(toy_workspace, toy_contract, tmp_path, monkey
     assert len(calls) <= 9, calls
     # The checkpoint commits the checked tree and moves its refs by id.
     assert [cmd for caller, cmd in calls if caller == "commit_checkpoint"] == ["commit-tree", "update-ref"]
+    # The round ends in its one reset, onto the new checkpoint.
+    assert calls[-2:] == [("_check_out_main", "checkout"), ("_clean", "clean")]
 
 
 def test_git_copies_the_environment_only_to_add_variables(toy_workspace, monkeypatch):
