@@ -92,8 +92,8 @@ def _require(doc: dict, key: str):
 def load_contract(config_path: str | Path) -> TargetContract:
     """Load and check a target config's schema; all returned paths are
     absolute. Whether the artifacts exist and run is
-    :func:`validate_contract`'s question, which every run asks first. Weights
-    stay an opaque pointer handed to agents verbatim.
+    :func:`validate_contract`'s question, which every run asks first. The
+    weights path is resolved and kept, but no agent, gate or prompt reads it.
     """
     config_path = Path(config_path).resolve()
     doc = json.loads(config_path.read_text(encoding="utf-8"))

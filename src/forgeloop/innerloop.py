@@ -5,11 +5,11 @@ The Judge verdict aggregates four gates in order: the user checker's
 exit-code contract, mount verification, the deterministic reward-hack scan,
 and the Judge agent's review of the diff and runtime notes. The agent is
 advisory-plus: it can add violations, never clear deterministic ones. A
-tampered mount fails the round immediately; the Evaluator runs only after a
-passed verdict. A round has one tree, the worktree the gates checked, which
-the ``Verdict`` carries: the Judge agent reviews its diff, the benchmark
-measures it and the checkpoint commits it. Edits by the Judge agent or the
-Evaluator phase are discarded.
+tampered mount raises :class:`Tampered`, which ends the round; the Evaluator
+runs only after a passed verdict. A round has one tree, the worktree the
+gates checked, which the ``Verdict`` carries: the Judge agent reviews its
+diff, the benchmark measures it and the checkpoint commits it. Edits by the
+Judge agent or the Evaluator phase are discarded.
 
 Every agent turn of a round (Implementer, Judge, Evaluator) goes through
 one :class:`Agents` record, which holds the harness provider, the run's tool
@@ -76,6 +76,14 @@ class ProbeRunFailed(InnerLoopError):
     pass
 
 
+class Tampered(InnerLoopError):
+    """A mount changed: the violations so far, then one ``tamper`` per mount."""
+
+    def __init__(self, violations: Sequence[Violation]):
+        super().__init__("; ".join(v.detail for v in violations))
+        self.violations = tuple(violations)
+
+
 ACCURACY = "accuracy"
 CRITERIA = "criteria"
 REWARD_HACK = "reward_hack"
@@ -95,7 +103,7 @@ class Violation(NamedTuple):
 
 class Verdict(NamedTuple):
     violations: tuple[Violation, ...]
-    # The tree the gates checked; None when a tampered mount ended them first.
+    # The tree the gates checked; judge always sets it.
     tree: Optional[str] = None
 
     @property
@@ -147,7 +155,6 @@ class Agents(NamedTuple):
 
 
 class ProbeResult(NamedTuple):
-    prompt: str
     output: bytes
     latency_s: float
 
@@ -200,7 +207,7 @@ def process_probe_runner(candidate_root: Path, timeout_s: float = 30.0) -> Probe
             raise ProbeRunFailed(
                 f"probe run exited {done.returncode}: {done.stderr.decode(errors='replace')[-400:]}"
             )
-        return ProbeResult(prompt=prompt, output=done.stdout, latency_s=done.duration_s)
+        return ProbeResult(output=done.stdout, latency_s=done.duration_s)
 
     return runner
 
@@ -290,9 +297,12 @@ def _run_build(ws: Workspace, timeout_s: float) -> Optional[Violation]:
     return None
 
 
-def _tamper_violations(ws: Workspace) -> list[Violation]:
-    """One violation per mount whose digest no longer matches its source."""
-    return [Violation(TAMPER, f"mount {f.kind}: {f.mount}") for f in verify_mounts(ws)]
+def _check_mounts(ws: Workspace, violations: Sequence[Violation] = ()) -> None:
+    """The one mount gate: raise :class:`Tampered` when a mount's digest no
+    longer matches what init recorded."""
+    tamper = [Violation(TAMPER, f"mount {f.kind}: {f.mount}") for f in verify_mounts(ws)]
+    if tamper:
+        raise Tampered([*violations, *tamper])
 
 
 def _parse_agent_verdict(result: object) -> list[Violation]:
@@ -320,8 +330,10 @@ def judge(
     scan_config: ScanConfig = ScanConfig(),
 ) -> Verdict:
     """Run the four correctness gates in order; the verdict carries the tree
-    they checked. Unchecked-scan notes reach the Judge agent's prompt; a
-    tampered mount ends the gates before it."""
+    they checked. Unchecked-scan notes reach the Judge agent's prompt. A
+    tampered mount raises :class:`Tampered` before the scan, and before the
+    ``CheckerUnrunnable`` of a checker that did not run; so no verdict holds
+    a ``tamper`` violation."""
     violations: list[Violation] = []
     notes: list[str] = []
     timeout = contract.budgets.round_wall_clock_limit_s
@@ -338,33 +350,23 @@ def judge(
         except CheckerUnrunnable:
             # An unrunnable checker may itself be the tampering; prefer the
             # tamper report over an environment error when digests disagree.
-            tamper = _tamper_violations(ws)
-            if tamper:
-                return Verdict(violations=tuple(violations + tamper))
+            _check_mounts(ws, violations)
             raise
         if rc != 0:
             violations.append(Violation(ACCURACY, stderr.strip() or f"checker exited {rc}"))
 
     # (2) mounts: tampering invalidates everything else this round.
-    tamper = _tamper_violations(ws)
-    if tamper:
-        return Verdict(violations=tuple(violations + tamper))
+    _check_mounts(ws, violations)
 
-    # (3) deterministic reward-hack scan.
+    # (3) deterministic reward-hack scan (run_target needs >= 2 distinct probes).
     if candidate_runnable:
-        distinct_probes = set(contract.probe_prompts)
-        if len(distinct_probes) >= 2:
-            try:
-                scan = scan_reward_hacks(
-                    process_probe_runner(ws.candidate_root), contract.probe_prompts, scan_config
-                )
-            except ProbeRunFailed as exc:
-                violations.append(Violation(ACCURACY, f"probe run failed: {exc}"))
-            else:
-                violations.extend(scan.violations)
-                notes.extend(scan.unchecked)
+        try:
+            scan = scan_reward_hacks(process_probe_runner(ws.candidate_root), contract.probe_prompts, scan_config)
+        except ProbeRunFailed as exc:
+            violations.append(Violation(ACCURACY, f"probe run failed: {exc}"))
         else:
-            notes.append("reward-hack scan skipped: fewer than 2 distinct probe prompts")
+            violations.extend(scan.violations)
+            notes.extend(scan.unchecked)
 
     # (4) judge agent review of the diff and runtime notes. The round's
     # start is ws.head: execute_round positions the workspace there.
@@ -477,16 +479,17 @@ def execute_round(
     scan_config: ScanConfig = ScanConfig(),
 ) -> RoundResult:
     """Drive one round to a RoundResult; the repo head moves only on success.
-    The Implementer gets ``contract.budgets.retry_budget`` attempts. A round
-    that cannot go on ends as ``error`` at the one error boundary below. It
-    lets through only what ends the run: a harness that cannot start in
-    round 0, and ``MountFailed`` (a mount's source drifted since init).
-    However a round ends, it ends in the one :func:`discard_worktree` of its
-    ``finally``, at ``ws.head``: the new checkpoint, or the round's start."""
+    The Implementer gets ``contract.budgets.retry_budget`` attempts. The body
+    returns ``validated`` or ``failed_budget``; every ``error`` comes from
+    the one error boundary below, where ``Tampered`` and ``CheckerUnrunnable``
+    append their attempt's verdict event and ``Tampered`` restores the
+    mounts. It lets through only what ends the run: a harness that cannot
+    start in round 0, and ``MountFailed`` (a mount's source drifted since
+    init). However a round ends, it ends in the one :func:`discard_worktree`
+    of its ``finally``, at ``ws.head``: the new checkpoint, or the round's start."""
     ledger = agents.ledger
     feedback: Optional[str] = None
     feedback_log: list[str] = []
-    verdict: Optional[Verdict] = None
 
     def record_verdict(attempt: int, violations: Sequence[Violation]) -> None:
         if ledger is not None:
@@ -500,17 +503,12 @@ def execute_round(
                 },
             )
 
-    def tamper_exit(violations: Sequence[Violation]) -> RoundResult:
-        restore_mounts(ws)
-        return RoundResult(status=RoundStatus.ERROR, feedback=tuple(v.detail for v in violations))
-
     try:
         if directive.start is not None and ws.head != directive.start.commit:
             revert(ws, directive.start, "round start positioning", ledger, round_index)
 
         skills = tuple(retrieve(library, directive.task_text, 3)) if library is not None else ()
 
-        passed_attempt = 0
         for attempt in range(1, contract.budgets.retry_budget + 1):
             bundle = assemble_prompt(
                 AgentRole.IMPLEMENTER,
@@ -521,24 +519,13 @@ def execute_round(
                 instructions=contract.instructions,
             )
             agents.turn(ws, bundle, round_index, attempt)
-            try:
-                verdict = judge(ws, directive, contract, agents, round_index, attempt, scan_config)
-            except CheckerUnrunnable as exc:
-                record_verdict(attempt, [Violation(ACCURACY, str(exc))])
-                raise
+            verdict = judge(ws, directive, contract, agents, round_index, attempt, scan_config)
             record_verdict(attempt, verdict.violations)
-
-            if any(v.kind == TAMPER for v in verdict.violations):
-                return tamper_exit(verdict.violations)
-
             if verdict.passed:
-                passed_attempt = attempt
                 break
-            details = [v.detail for v in verdict.violations]
-            feedback_log.extend(details)
+            feedback_log.extend(v.detail for v in verdict.violations)
             feedback = "\n".join(f"- {v.kind}: {v.detail}" for v in verdict.violations)
-
-        if verdict is None or not verdict.passed:
+        else:
             return RoundResult(status=RoundStatus.FAILED_BUDGET, feedback=tuple(feedback_log))
 
         # Evaluator phase: measure the checked tree, which the checkpoint
@@ -546,12 +533,8 @@ def execute_round(
         restore_tree(ws, verdict.tree)
         report, hints = evaluate(ws, contract, agents, round_index)
 
-        # End-of-round mount verification: the Evaluator phase must not have
-        # touched an artifact either; a tampered round never checkpoints.
-        end_tamper = _tamper_violations(ws)
-        if end_tamper:
-            record_verdict(passed_attempt, end_tamper)
-            return tamper_exit(end_tamper)
+        # Nor may the Evaluator phase touch a mount: a tampered round never checkpoints.
+        _check_mounts(ws)
 
         checkpoint = commit_checkpoint(ws, round_index, report, verdict)
         if ledger is not None:
@@ -574,7 +557,14 @@ def execute_round(
         if round_index == 0:
             raise  # a harness that never starts is a set-up error
         detail = f"harness did not start: {exc}"
-    except (CheckerUnrunnable, BenchmarkFailed, MetricParseError, WorkspaceError) as exc:
+    except Tampered as exc:
+        record_verdict(attempt, exc.violations)
+        restore_mounts(ws)
+        return RoundResult(status=RoundStatus.ERROR, feedback=tuple(v.detail for v in exc.violations))
+    except CheckerUnrunnable as exc:
+        record_verdict(attempt, [Violation(ACCURACY, str(exc))])
+        detail = str(exc)
+    except (BenchmarkFailed, MetricParseError, WorkspaceError) as exc:
         detail = str(exc)
     finally:
         discard_worktree(ws)

@@ -314,30 +314,14 @@ class IssueTrackerPolicy(Policy):
             round_filed=ctx.round,
             depends_on=tuple(args.get("depends_on", ())),
         )
+        # No cycle can form: dependencies are filed already, ids only grow, and no tool edits depends_on.
         for dep in issue.depends_on:
             if dep not in self.issues:
                 raise HandlerError(f"depends_on references unknown issue {dep}")
-        if self._creates_cycle(issue):
-            raise HandlerError("depends_on would create a dependency cycle")
         self._next_id += 1
         self.issues[issue.id] = issue
         self._persist(issue)
         return {"issue_id": issue.id}
-
-    def _creates_cycle(self, candidate: Issue) -> bool:
-        # Walk up from the new issue's dependencies; ids are filed in order,
-        # but tool-driven status edits make an explicit check cheap insurance.
-        seen = set()
-        stack = list(candidate.depends_on)
-        while stack:
-            node = stack.pop()
-            if node == candidate.id:
-                return True
-            if node in seen or node not in self.issues:
-                continue
-            seen.add(node)
-            stack.extend(self.issues[node].depends_on)
-        return False
 
     def update_issue_status(self, ctx: SessionContext, args: dict) -> dict:
         issue = self.issues.get(args["issue_id"])

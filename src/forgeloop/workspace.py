@@ -92,17 +92,25 @@ class Checkpoint(NamedTuple):
     parent: Optional[str] = None
 
 
+def _file_digest(path: Path) -> str:
+    # The execute bits count too: a checker that lost them no longer runs.
+    acc = hashlib.sha256(path.read_bytes())
+    acc.update(b"%o" % (path.stat().st_mode & 0o111))
+    return acc.hexdigest()
+
+
 def _digest_path(path: Path) -> str:
-    """sha256 over file contents; directories hash sorted (relpath, filehash) pairs."""
+    """sha256 over file contents and execute bits; directories hash sorted
+    (relpath, filehash) pairs."""
     if path.is_file():
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+        return _file_digest(path)
     if path.is_dir():
         acc = hashlib.sha256()
         for sub in sorted(p for p in path.rglob("*") if p.is_file()):
             rel = sub.relative_to(path).as_posix()
             acc.update(rel.encode())
             acc.update(b"\0")
-            acc.update(hashlib.sha256(sub.read_bytes()).hexdigest().encode())
+            acc.update(_file_digest(sub).encode())
             acc.update(b"\n")
         return acc.hexdigest()
     raise MountFailed(f"mount source vanished: {path}")
@@ -320,10 +328,14 @@ def _clean(ws: Workspace) -> None:
     ws.candidate_root.mkdir(exist_ok=True)
 
 
-def _check_out_main(ws: Workspace, commit: str) -> None:
+def _unlock_index(ws: Workspace) -> None:
     # Every agent's process group is dead by now (run_bounded kills it), so
-    # an index lock left behind is stale and would only block the checkout.
+    # an index lock left behind is stale and would only block a reset.
     (ws.root / ".git" / "index.lock").unlink(missing_ok=True)
+
+
+def _check_out_main(ws: Workspace, commit: str) -> None:
+    _unlock_index(ws)
     checkout = ws._git("checkout", "-q", "-f", "-B", "main", f"{commit}^{{commit}}", check=False)
     if checkout.returncode != 0:
         ws.tree_digest(commit)  # raises UnknownCommit when that is the cause
@@ -339,6 +351,7 @@ def revert_to(ws: Workspace, cp: Checkpoint) -> None:
 
 def restore_tree(ws: Workspace, tree_digest: str) -> None:
     """Reset worktree content (not HEAD) to a previously snapshotted tree."""
+    _unlock_index(ws)
     ws._git("read-tree", "--reset", "-u", tree_digest)
     _clean(ws)
 

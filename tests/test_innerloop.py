@@ -15,6 +15,7 @@ from forgeloop.innerloop import (
     ProbeRunFailed,
     RoundStatus,
     ScanConfig,
+    Tampered,
     Verdict,
     Violation,
     evaluate,
@@ -40,7 +41,7 @@ def fake_runner(outputs, latency=0.05):
     table = dict(outputs)
 
     def runner(prompt):
-        return ProbeResult(prompt=prompt, output=table[prompt], latency_s=latency)
+        return ProbeResult(output=table[prompt], latency_s=latency)
 
     return runner
 
@@ -234,9 +235,9 @@ def test_judge_tamper_short_circuits(toy_workspace, toy_contract, tmp_path):
     checker.chmod(0o755)  # keep it runnable; the digest is what flags the edit
     with checker.open("a") as fh:
         fh.write("# evil\n")
-    verdict = judge_once(toy_workspace, toy_contract, tmp_path)
-    assert not verdict.passed
-    assert any(v.kind == "tamper" and "artifacts/checker" in v.detail for v in verdict.violations)
+    with pytest.raises(Tampered) as raised:
+        judge_once(toy_workspace, toy_contract, tmp_path)
+    assert [(v.kind, v.detail) for v in raised.value.violations] == [("tamper", "mount modified: artifacts/checker")]
     # agent review skipped on a compromised workspace
     assert roles_in(tmp_path / "judge.jsonl") == []
     assert not (toy_workspace.root / JUDGE_PROMPT).exists()
@@ -494,6 +495,24 @@ def test_hanging_checker_is_unrunnable_and_leaves_no_survivor(toy_contract, tmp_
     assert_gone(pid_file)
 
 
+def test_a_hanging_checker_ends_its_round_with_one_failed_verdict(toy_contract, tmp_path):
+    contract = short_limit(toy_contract, checker=hanging_gate(tmp_path / "checker", tmp_path / "checker.pid"))
+    ws = init_workspace(contract, tmp_path / "hang-ws")
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    toy.write_script(
+        scripts / "implementer_r0_a1.jsonl",
+        [{"step": "apply_patch", "patch": toy.new_file_diff("candidate/run", toy.candidate_source(0.0))}],
+    )
+    _, result = run_round(ws, contract, tmp_path, scripts)
+
+    assert result.status is RoundStatus.ERROR
+    [detail] = result.feedback
+    assert detail.startswith("checker did not run: ") and "timed out" in detail
+    verdicts = [e.payload for e in read_ledger(tmp_path / "ledger.jsonl") if e.kind == "verdict"]
+    assert verdicts == [{"passed": False, "attempt": 1, "violations": [{"kind": "accuracy", "detail": detail}]}]
+
+
 def test_hanging_benchmark_is_an_error_round_and_leaves_no_survivor(toy_contract, tmp_path):
     pid_file = tmp_path / "benchmark-grandchild.pid"
     contract = short_limit(toy_contract, 3, benchmark=hanging_gate(tmp_path / "benchmark", pid_file))
@@ -563,6 +582,58 @@ def test_round_tamper_is_error_with_restored_mounts(toy_workspace, toy_contract,
     assert toy_workspace.head == head_before
     assert verify_mounts(toy_workspace) == ()  # restored after detection
     assert "Evaluator" not in roles_in(tmp_path / "ledger.jsonl")
+
+
+def test_an_evaluator_tamper_ends_the_round_before_its_checkpoint(toy_workspace, toy_contract, tmp_path):
+    ws = toy_workspace
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    toy.write_script(
+        scripts / "implementer_r0_a1.jsonl",
+        [{"step": "apply_patch", "patch": toy.new_file_diff("candidate/run", toy.V_WRONG)}],
+    )
+    toy.write_script(
+        scripts / "implementer_r0_a2.jsonl",
+        [{"step": "apply_patch", "patch": toy.modify_diff("candidate/run", toy.V_WRONG, toy.V0)}],
+    )
+    checker = toy.checker_source()
+    toy.write_script(
+        scripts / "evaluator_r0.jsonl",
+        [{"step": "apply_patch", "patch": toy.modify_diff("artifacts/checker", checker, checker + "# tampered\n")}],
+    )
+    head_before = ws.head
+    _, result = run_round(ws, with_retries(toy_contract, 2), tmp_path, scripts)
+
+    assert result.status is RoundStatus.ERROR
+    assert result.feedback == ("mount modified: artifacts/checker",)
+    events = read_ledger(tmp_path / "ledger.jsonl")
+    # The last verdict event names the attempt that passed, and the tamper.
+    assert [e.payload for e in events if e.kind == "verdict"][-1] == {
+        "passed": False,
+        "attempt": 2,
+        "violations": [{"kind": "tamper", "detail": "mount modified: artifacts/checker"}],
+    }
+    assert "checkpoint" not in [e.kind for e in events]
+    assert verify_mounts(ws) == ()
+    assert ws.head == head_before
+
+
+def test_a_deleted_checker_is_reported_as_tamper(toy_workspace, toy_contract, tmp_path):
+    # The checker cannot run once deleted; the tamper report wins over that.
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    toy.write_script(
+        scripts / "implementer_r0_a1.jsonl",
+        [
+            {"step": "apply_patch", "patch": toy.new_file_diff("candidate/run", toy.V0)},
+            {"step": "apply_patch", "patch": toy.delete_diff("artifacts/checker", toy.checker_source())},
+        ],
+    )
+    _, result = run_round(toy_workspace, toy_contract, tmp_path, scripts)
+
+    assert result.status is RoundStatus.ERROR
+    assert result.feedback == ("mount missing: artifacts/checker",)
+    assert verify_mounts(toy_workspace) == ()
 
 
 def test_round_collects_filed_issues(toy_workspace, toy_contract, tmp_path):

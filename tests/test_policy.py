@@ -359,8 +359,8 @@ def test_depends_on_unknown_or_cyclic_rejected(policy):
     with pytest.raises(HandlerError):
         file_issue(policy, "dangling", "low", deps=(42,))
     a = file_issue(policy, "a", "low")
-    # Self-cycle via depends_on pointing at the issue that will get this id.
-    with pytest.raises(HandlerError):
+    # A self-cycle would point at the id this issue gets, which is not filed yet.
+    with pytest.raises(HandlerError, match="unknown issue"):
         policy.file_issue(
             ctx(),
             {

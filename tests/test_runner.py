@@ -635,18 +635,32 @@ def test_a_ref_that_will_not_move_ends_only_its_round(tmp_path):
     assert outcome.checkpoints == 1
 
 
-def test_a_stale_index_lock_ends_only_its_round(tmp_path):
-    # Round 0's agent leaves .git/index.lock behind: its own commit and the
-    # restore of the checked tree fail, and the round's reset removes it.
+def test_a_stale_index_lock_is_removed_before_either_reset(tmp_path):
+    # Round 0's agent leaves .git/index.lock behind, so its own commit fails;
+    # the restore of the checked tree removes the lock, and the round is measured.
     outcome, git = run_committing_agent(
         tmp_path,
         [chars_candidate(100), chars_candidate(120)],
         before_commit='[ "$r" = 0 ] && : > "$1/.git/index.lock"',
     )
     statuses = [e.payload["status"] for e in read_ledger(tmp_path / "ledger.jsonl") if e.kind == "round_finished"]
-    assert statuses == ["error", "validated"]
+    assert statuses == ["validated", "validated"]
     assert git("rev-parse", "main") == git("rev-parse", "round-1") == [outcome.best.commit]
     assert not (tmp_path / "ws" / ".git" / "index.lock").exists()
+
+
+def test_a_checker_that_lost_its_execute_bits_is_a_tamper(tmp_path):
+    # Round 0's agent makes the mounted checker unrunnable; the mount digest
+    # counts execute bits, so the round reports the tamper and the mount is
+    # restored for the rounds after it.
+    run_committing_agent(
+        tmp_path,
+        [chars_candidate(100), chars_candidate(120), chars_candidate(140)],
+        before_commit='[ "$r" = 0 ] && chmod a-x "$1/artifacts/checker"',
+    )
+    finished = [e.payload for e in read_ledger(tmp_path / "ledger.jsonl") if e.kind == "round_finished"]
+    assert [p["status"] for p in finished] == ["error", "validated", "validated"]
+    assert finished[0]["detail"] == "mount modified: artifacts/checker"
 
 
 def test_a_discarded_round_keeps_the_candidate_directory(tmp_path):

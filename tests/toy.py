@@ -136,6 +136,12 @@ def new_file_diff(path: str, content: str, mode: str = "100755") -> str:
     return f"diff --git a/{path} b/{path}\nnew file mode {mode}\n{body}"
 
 
+def delete_diff(path: str, content: str) -> str:
+    lines = content.splitlines(keepends=True)
+    body = "".join(difflib.unified_diff(lines, [], fromfile=f"a/{path}", tofile="/dev/null"))
+    return f"diff --git a/{path} b/{path}\ndeleted file mode 100755\n{body}"
+
+
 def modify_diff(path: str, old: str, new: str) -> str:
     body = "".join(
         difflib.unified_diff(
