@@ -93,7 +93,7 @@ def load_contract(config_path: str | Path) -> TargetContract:
     """Load and check a target config's schema; all returned paths are
     absolute. Whether the artifacts exist and run is
     :func:`validate_contract`'s question, which every run asks first. The
-    weights path is resolved and kept, but no agent, gate or prompt reads it.
+    weights path must exist, but no agent, gate or prompt reads it.
     """
     config_path = Path(config_path).resolve()
     doc = json.loads(config_path.read_text(encoding="utf-8"))
@@ -162,6 +162,7 @@ def validate_contract(c: TargetContract) -> ValidationReport:
     out: list[ContractViolation] = []
     for role, p in (
         ("reference_impl", c.reference_impl),
+        ("weights", c.weights),
         ("checker", c.checker),
         ("benchmark", c.benchmark),
     ):

@@ -35,10 +35,6 @@ class HarnessError(ForgeloopError):
     pass
 
 
-class EmptyTask(HarnessError):
-    pass
-
-
 class SpawnFailed(HarnessError):
     pass
 
@@ -64,10 +60,10 @@ class PromptBundle(NamedTuple):
 @checked
 class HarnessConfig(NamedTuple):
     """Command template with ``{workspace}``, ``{prompt_file}``, ``{endpoint}``
-    and ``{role}`` placeholders, plus the env names allowed through."""
+    and ``{role}`` placeholders, and the turn's deadline. The agent's
+    environment holds only ``PATH`` and ``HOME``."""
 
     command_template: tuple[str, ...]
-    env_allowlist: tuple[str, ...] = ()
     timeout_s: float = 900.0
 
     def _check(self):
@@ -83,8 +79,6 @@ def assemble_prompt(
     feedback: Optional[str],
     instructions: str,
 ) -> PromptBundle:
-    if role is AgentRole.IMPLEMENTER and not task.strip():
-        raise EmptyTask("Implementer task text must be nonempty")
     return PromptBundle(
         role=role,
         task_text=task,
@@ -119,13 +113,8 @@ def prompt_digest(document: str) -> str:
     return hashlib.sha256(document.encode("utf-8")).hexdigest()
 
 
-_BASE_ENV = ("PATH", "HOME")
+_AGENT_ENV = ("PATH", "HOME")  # the only environment names an agent sees
 _STDERR_TAIL = 2000  # characters of an agent's stderr kept in its ledger event
-
-
-def _sanitized_env(allowlist: Sequence[str]) -> dict[str, str]:
-    allowed = set(_BASE_ENV) | set(allowlist)
-    return {k: v for k, v in os.environ.items() if k in allowed}
 
 
 def invoke_agent(
@@ -174,8 +163,9 @@ def invoke_agent(
     # monotonic clock, so a clock step during the turn cannot skew it.
     started = time.time()
     launch_error: Optional[OSError] = None
+    env = {k: os.environ[k] for k in _AGENT_ENV if k in os.environ}
     try:
-        done = run_bounded(command, workspace_root, cfg.timeout_s, env=_sanitized_env(cfg.env_allowlist))
+        done = run_bounded(command, workspace_root, cfg.timeout_s, env=env)
     except OSError as exc:
         # A crash with no exit code, whose stderr is the launch error.
         launch_error = exc
@@ -216,13 +206,18 @@ class Completed(NamedTuple):
     duration_s: float  # monotonic
 
 
+_POLL_S = 0.05  # how often run_bounded looks whether its child has exited
+
+
 def run_bounded(argv, cwd, timeout_s: float, env=None, text: bool = True, shell: bool = False) -> Completed:
     """Run one child in its own session with stdout and stderr captured, and
     kill its whole process group when it exits or at the deadline, whichever
-    comes first, so no background process outlives it. A descendant that
-    calls ``setsid`` itself leaves the group and escapes. Raises OSError when
-    the child cannot start."""
+    comes first, so no background process outlives it. The child's exit ends
+    the call even while a background process still holds its pipes. A
+    descendant that calls ``setsid`` itself leaves the group and escapes.
+    Raises OSError when the child cannot start."""
     clock = time.monotonic()
+    deadline = clock + timeout_s
     proc = subprocess.Popen(
         argv,
         cwd=cwd,
@@ -233,14 +228,17 @@ def run_bounded(argv, cwd, timeout_s: float, env=None, text: bool = True, shell:
         text=text,
         start_new_session=True,
     )
-    try:
-        stdout, stderr = proc.communicate(timeout=timeout_s)
-        timed_out = False
-        _kill_process_group(proc)  # returns at once when the group is empty
-    except subprocess.TimeoutExpired:
-        _kill_process_group(proc)
+    drained = False
+    while not drained and proc.poll() is None and time.monotonic() < deadline:
+        try:
+            stdout, stderr = proc.communicate(timeout=min(_POLL_S, deadline - time.monotonic()))
+            drained = True
+        except subprocess.TimeoutExpired:
+            pass
+    timed_out = proc.poll() is None
+    _kill_process_group(proc)  # returns at once when the group is empty
+    if not drained:
         stdout, stderr = proc.communicate()
-        timed_out = True
     return Completed(
         returncode=None if timed_out else proc.returncode,
         stdout=stdout,

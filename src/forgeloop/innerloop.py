@@ -2,14 +2,15 @@
 Judge gating correctness, the Evaluator measuring and hinting.
 
 The Judge verdict aggregates four gates in order: the user checker's
-exit-code contract, mount verification, the deterministic reward-hack scan,
-and the Judge agent's review of the diff and runtime notes. The agent is
-advisory-plus: it can add violations, never clear deterministic ones. A
-tampered mount raises :class:`Tampered`, which ends the round; the Evaluator
-runs only after a passed verdict. A round has one tree, the worktree the
-gates checked, which the ``Verdict`` carries: the Judge agent reviews its
-diff, the benchmark measures it and the checkpoint commits it. Edits by the
-Judge agent or the Evaluator phase are discarded.
+exit-code contract, mount verification, the deterministic reward-hack scan
+(checks (a) constant template and (b) prompt-keyed cache), and the Judge
+agent's review of the diff and runtime notes. The agent is advisory-plus:
+it can add violations, never clear deterministic ones. A tampered mount
+raises :class:`Tampered`, which ends the round; the Evaluator runs only
+after a passed verdict. A round has one tree, the worktree the gates
+checked, which the ``Verdict`` carries: the Judge agent reviews its diff,
+the benchmark measures it and the checkpoint commits it. Edits by the Judge
+agent or the Evaluator phase are discarded.
 
 Every agent turn of a round (Implementer, Judge, Evaluator) goes through
 one :class:`Agents` record, which holds the harness provider, the run's tool
@@ -103,8 +104,7 @@ class Violation(NamedTuple):
 
 class Verdict(NamedTuple):
     violations: tuple[Violation, ...]
-    # The tree the gates checked; judge always sets it.
-    tree: Optional[str] = None
+    tree: str  # the tree the gates checked
 
     @property
     def passed(self) -> bool:
@@ -163,12 +163,8 @@ class ProbeResult(NamedTuple):
 ProbeRunner = Callable[[str], ProbeResult]
 
 
-class ScanConfig(NamedTuple):
-    latency_floor_s: float = 0.001
-    benchmark_outputs: tuple[str, ...] = ()
-    # Post-probe hook: True if the candidate read the weights path during the
-    # probe runs. None on platforms without access tracing.
-    access_tracer: Optional[Callable[[], bool]] = None
+# A probe answered faster than this with a benchmark output is a cache hit.
+_LATENCY_FLOOR_S = 0.001
 
 
 class ScanReport(NamedTuple):
@@ -215,15 +211,14 @@ def process_probe_runner(candidate_root: Path, timeout_s: float = 30.0) -> Probe
 def scan_reward_hacks(
     candidate_runner: ProbeRunner,
     probes: Sequence[str],
-    config: ScanConfig = ScanConfig(),
+    benchmark_outputs: Sequence[str] = (),
 ) -> ScanReport:
     """Deterministic hack checks over held-out probe prompts.
 
     (a) constant template: byte-identical outputs across distinct probes.
     (b) prompt-keyed cache: a probe answered under the latency floor with
-        output identical to a recorded benchmark output.
-    (c) inference bypass: output produced while the weights path was never
-        read; needs an access tracer and is otherwise recorded unchecked.
+        output identical to a recorded benchmark output; recorded
+        unchecked until a benchmark has recorded outputs.
     """
     distinct = list(dict.fromkeys(probes))
     if len(distinct) < 2:
@@ -243,11 +238,9 @@ def scan_reward_hacks(
             )
         )
 
-    if config.benchmark_outputs:
-        bench = {b.encode() if isinstance(b, str) else b for b in config.benchmark_outputs}
-        suspicious = [
-            r for r in results if r.latency_s < config.latency_floor_s and r.output in bench
-        ]
+    if benchmark_outputs:
+        bench = {b.encode() if isinstance(b, str) else b for b in benchmark_outputs}
+        suspicious = [r for r in results if r.latency_s < _LATENCY_FLOOR_S and r.output in bench]
         if suspicious:
             violations.append(
                 Violation(
@@ -258,16 +251,6 @@ def scan_reward_hacks(
             )
     else:
         unchecked.append("(b) no benchmark outputs recorded yet")
-
-    if config.access_tracer is None:
-        unchecked.append("(c) no file-access tracing on this platform")
-    elif not config.access_tracer():
-        violations.append(
-            Violation(
-                REWARD_HACK,
-                "(c) bypass: probe outputs produced while the weights path was never read",
-            )
-        )
 
     return ScanReport(violations=tuple(violations), unchecked=tuple(unchecked))
 
@@ -327,7 +310,7 @@ def judge(
     agents: Agents,
     round_index: int,
     attempt: int,
-    scan_config: ScanConfig = ScanConfig(),
+    benchmark_outputs: Sequence[str] = (),
 ) -> Verdict:
     """Run the four correctness gates in order; the verdict carries the tree
     they checked. Unchecked-scan notes reach the Judge agent's prompt. A
@@ -361,7 +344,7 @@ def judge(
     # (3) deterministic reward-hack scan (run_target needs >= 2 distinct probes).
     if candidate_runnable:
         try:
-            scan = scan_reward_hacks(process_probe_runner(ws.candidate_root), contract.probe_prompts, scan_config)
+            scan = scan_reward_hacks(process_probe_runner(ws.candidate_root), contract.probe_prompts, benchmark_outputs)
         except ProbeRunFailed as exc:
             violations.append(Violation(ACCURACY, f"probe run failed: {exc}"))
         else:
@@ -476,7 +459,7 @@ def execute_round(
     contract: TargetContract,
     agents: Agents,
     library: Optional[SkillLibrary] = None,
-    scan_config: ScanConfig = ScanConfig(),
+    benchmark_outputs: Sequence[str] = (),
 ) -> RoundResult:
     """Drive one round to a RoundResult; the repo head moves only on success.
     The Implementer gets ``contract.budgets.retry_budget`` attempts. The body
@@ -519,7 +502,7 @@ def execute_round(
                 instructions=contract.instructions,
             )
             agents.turn(ws, bundle, round_index, attempt)
-            verdict = judge(ws, directive, contract, agents, round_index, attempt, scan_config)
+            verdict = judge(ws, directive, contract, agents, round_index, attempt, benchmark_outputs)
             record_verdict(attempt, verdict.violations)
             if verdict.passed:
                 break

@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 from forgeloop.contract import TargetContract, validate_contract
 from forgeloop.errors import ForgeloopError
 from forgeloop.harness import AgentRole, HarnessConfig, SpawnFailed, assemble_prompt, prompt_digest, scripted_stub
-from forgeloop.innerloop import Agents, RoundStatus, ScanConfig, execute_round, revert
+from forgeloop.innerloop import Agents, RoundStatus, execute_round, revert
 from forgeloop.ledger import LedgerWriter
 from forgeloop.mcp import ToolServer
 from forgeloop.policy import (
@@ -79,13 +79,11 @@ def stub_harness_provider(scripts_dir: Path, timeout_s: float):
     return provider
 
 
-def agent_harness_provider(command_template: str, timeout_s: float, env_allowlist=()):
+def agent_harness_provider(command_template: str, timeout_s: float):
     tokens = tuple(shlex.split(command_template))
 
     def provider(role: AgentRole, round_index: int, attempt: int) -> HarnessConfig:
-        return HarnessConfig(
-            command_template=tokens, env_allowlist=tuple(env_allowlist), timeout_s=timeout_s
-        )
+        return HarnessConfig(command_template=tokens, timeout_s=timeout_s)
 
     return provider
 
@@ -138,7 +136,7 @@ def run_target(
     checkpoints = 0
     rounds_run = 0
     stopped = "budget exhausted"
-    scan_config = ScanConfig()
+    benchmark_outputs: tuple[str, ...] = ()
 
     # What is set up from here on is torn down however the run ends.
     with contextlib.ExitStack() as cleanup:
@@ -187,14 +185,14 @@ def run_target(
                 },
             )
 
-            result = execute_round(directive, round_index, ws, contract, agents, library, scan_config)
+            result = execute_round(directive, round_index, ws, contract, agents, library, benchmark_outputs)
             rounds_run += 1
             kept = False
             if result.status is RoundStatus.VALIDATED:
                 checkpoints += 1
                 outputs = result.metric.extras.get("outputs", []) if result.metric else []
                 if outputs:
-                    scan_config = scan_config._replace(benchmark_outputs=tuple(str(o) for o in outputs))
+                    benchmark_outputs = tuple(str(o) for o in outputs)
                 kept = tracker.consider(result.commit)
                 if not kept:
                     reason = "validated round regressed on the headline metric"

@@ -110,3 +110,10 @@ def test_validate_missing_artifact_reported_as_data(tmp_path, toy_contract):
     bad = toy_contract._replace(checker=tmp_path / "vanished")
     report = validate_contract(bad)
     assert any(v.subject == "checker" and "does not exist" in v.detail for v in report.violations)
+
+
+def test_validate_missing_weights_reported(tmp_path, toy_contract):
+    report = validate_contract(toy_contract._replace(weights=tmp_path / "vanished"))
+    assert [(v.subject, v.detail) for v in report.violations] == [
+        ("weights", f"path does not exist: {tmp_path / 'vanished'}")
+    ]

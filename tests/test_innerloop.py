@@ -14,7 +14,6 @@ from forgeloop.innerloop import (
     ProbeResult,
     ProbeRunFailed,
     RoundStatus,
-    ScanConfig,
     Tampered,
     Verdict,
     Violation,
@@ -69,48 +68,29 @@ def test_scan_requires_two_distinct_probes():
 
 
 def test_scan_prompt_keyed_cache_needs_floor_and_match():
-    config = ScanConfig(latency_floor_s=0.001, benchmark_outputs=("bench-answer",))
+    bench = ("bench-answer",)
     fast_match = fake_runner({"p1": b"bench-answer", "p2": b"other"}, latency=0.0001)
-    report = scan_reward_hacks(fast_match, ["p1", "p2"], config)
+    report = scan_reward_hacks(fast_match, ["p1", "p2"], bench)
     assert any(v.detail.startswith("(b)") for v in report.violations)
 
     slow_match = fake_runner({"p1": b"bench-answer", "p2": b"other"}, latency=0.05)
-    assert scan_reward_hacks(slow_match, ["p1", "p2"], config).violations == ()
+    assert scan_reward_hacks(slow_match, ["p1", "p2"], bench).violations == ()
 
     fast_nomatch = fake_runner({"p1": b"novel", "p2": b"other"}, latency=0.0001)
-    assert scan_reward_hacks(fast_nomatch, ["p1", "p2"], config).violations == ()
+    assert scan_reward_hacks(fast_nomatch, ["p1", "p2"], bench).violations == ()
 
 
 def test_scan_cache_check_unchecked_without_benchmark_outputs():
     runner = fake_runner({"p1": b"one", "p2": b"two"})
-    report = scan_reward_hacks(runner, ["p1", "p2"], ScanConfig())
+    report = scan_reward_hacks(runner, ["p1", "p2"])
     assert any(note.startswith("(b)") for note in report.unchecked)
 
 
-def test_scan_bypass_with_tracer():
-    runner = fake_runner({"p1": b"one", "p2": b"two"})
-    flagged = scan_reward_hacks(
-        runner, ["p1", "p2"], ScanConfig(access_tracer=lambda: False)
-    )
-    assert any(v.detail.startswith("(c)") for v in flagged.violations)
-    clean = scan_reward_hacks(runner, ["p1", "p2"], ScanConfig(access_tracer=lambda: True))
-    assert not any(v.detail.startswith("(c)") for v in clean.violations)
-
-
-def test_scan_bypass_unchecked_without_tracer():
-    runner = fake_runner({"p1": b"one", "p2": b"two"})
-    report = scan_reward_hacks(runner, ["p1", "p2"])
-    assert any(note.startswith("(c)") for note in report.unchecked)
-
-
 def test_scan_findings_tagged_with_check_letter():
-    config = ScanConfig(
-        latency_floor_s=0.001, benchmark_outputs=("same",), access_tracer=lambda: False
-    )
     runner = fake_runner({"p1": b"same", "p2": b"same"}, latency=0.0001)
-    report = scan_reward_hacks(runner, ["p1", "p2"], config)
+    report = scan_reward_hacks(runner, ["p1", "p2"], ("same",))
     letters = sorted(v.detail[:3] for v in report.violations)
-    assert letters == ["(a)", "(b)", "(c)"]
+    assert letters == ["(a)", "(b)"]
 
 
 def test_process_probe_runner_runs_candidate(toy_workspace):
@@ -179,9 +159,9 @@ def test_judge_passes_correct_candidate(toy_workspace, toy_contract, tmp_path):
     verdict = judge_once(toy_workspace, toy_contract, tmp_path)
     assert verdict.passed
     assert roles_in(tmp_path / "judge.jsonl") == ["Judge"]  # the judge agent ran
-    # checks (b) and (c) degrade to unchecked notes in the Judge's prompt
+    # with no benchmark outputs yet, check (b) is an unchecked note in the Judge's prompt
     prompt = (toy_workspace.root / JUDGE_PROMPT).read_text()
-    assert prompt.count("unchecked: (") == 2
+    assert prompt.count("unchecked: (") == 1
 
 
 def test_judge_checker_failure_carries_stderr(toy_workspace, toy_contract, tmp_path):

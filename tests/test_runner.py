@@ -691,7 +691,7 @@ def test_an_orchestrator_that_cannot_start_leaves_the_pick_to_the_rule(tmp_path,
     )
     stub = runner.stub_harness_provider(scripts, 60)
 
-    def provider_for(command_template, timeout_s, env_allowlist=()):
+    def provider_for(command_template, timeout_s):
         def provider(role, round_index, attempt):
             if role is AgentRole.ORCHESTRATOR and round_index == 1:
                 return HarnessConfig(command_template=("/no/such/harness",), timeout_s=timeout_s)

@@ -274,6 +274,19 @@ def test_reader_refuses_outside_subset(tmp_path, text):
     assert exc.value.path == bad / "SKILL.md"
 
 
+# Reference for _OUTSIDE: the printable set it is the complement of, as a negated class.
+PRINTABLE_COMPLEMENT = re.compile(r"[^\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd\U00010000-\U0010ffff]")
+
+
+def test_outside_matches_the_negated_printable_class_on_every_code_point():
+    from forgeloop.skills import _OUTSIDE
+
+    every = "".join(map(chr, range(0x110000)))
+    assert [m.span() for m in _OUTSIDE.finditer(every)] == [
+        m.span() for m in PRINTABLE_COMPLEMENT.finditer(every)
+    ]
+
+
 def test_reader_names_the_file_line(tmp_path):
     d = tmp_path / "tooling" / "lined"
     d.mkdir(parents=True)

@@ -44,3 +44,8 @@ def test_tracer_keys_agent_turns_by_role(monkeypatch, toy_workspace, toy_contrac
         tracer.uninstall()
     for role in ("Implementer", "Judge"):
         assert tracer.select("harness", "invoke_agent", role), f"no invoke_agent span keyed {role!r}"
+    # workspace.git_* reads git launches as subprocess.run spans and
+    # harness.spawns_per_round reads agent launches as subprocess.Popen spans.
+    assert tracer.select("subprocess", "run", "git"), "no git launch traced as subprocess.run"
+    agent_spawns = tracer.select("subprocess", "popen", "agent")
+    assert len(agent_spawns) == len(tracer.select("harness", "invoke_agent")) >= 2

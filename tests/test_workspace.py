@@ -126,8 +126,9 @@ def test_a_held_tag_lock_moves_no_ref(toy_workspace):
 
 def test_commit_checkpoint_requires_passed_verdict(toy_workspace):
     write_candidate(toy_workspace)
+    failed = Verdict((Violation(ACCURACY, "wrong"),), toy_workspace.worktree_digest())
     with pytest.raises(VerdictNotPassed):
-        commit_checkpoint(toy_workspace, 0, metric(), Verdict((Violation(ACCURACY, "wrong"),)))
+        commit_checkpoint(toy_workspace, 0, metric(), failed)
 
 
 def test_revert_round_trip_tree_digest(toy_workspace):
