@@ -4,7 +4,8 @@ A target is declared by a single JSON config naming the reference
 implementation, weights, checker, benchmark, free-text instructions,
 held-out probe prompts for the reward-hack scanner, and round budgets.
 Relative paths resolve against the config file's directory; unknown keys
-are rejected.
+are rejected. The records are the schema: a field without a default is
+required.
 """
 
 from __future__ import annotations
@@ -31,23 +32,14 @@ class UnknownField(ContractError):
     pass
 
 
-DEFAULT_MAX_ROUNDS = 15
-DEFAULT_RETRY_BUDGET = 3
-DEFAULT_ROUND_WALL_CLOCK_S = 3600
-DEFAULT_AGENT_TIMEOUT_S = 900
-
-
 class RoundBudget(NamedTuple):
-    max_rounds: int = DEFAULT_MAX_ROUNDS
-    retry_budget: int = DEFAULT_RETRY_BUDGET
-    round_wall_clock_limit_s: int = DEFAULT_ROUND_WALL_CLOCK_S
-    agent_timeout_s: int = DEFAULT_AGENT_TIMEOUT_S
+    max_rounds: int = 15
+    retry_budget: int = 3
+    round_wall_clock_limit_s: int = 3600
+    agent_timeout_s: int = 900
 
     def violations(self) -> list[str]:
-        out = []
-        for name in ("max_rounds", "retry_budget", "round_wall_clock_limit_s", "agent_timeout_s"):
-            if getattr(self, name) <= 0:
-                out.append(f"RoundBudget.{name} must be > 0")
+        out = [f"RoundBudget.{name} must be > 0" for name in self._fields if getattr(self, name) <= 0]
         if self.agent_timeout_s > self.round_wall_clock_limit_s:
             out.append("RoundBudget.agent_timeout_s exceeds round_wall_clock_limit_s")
         return out
@@ -65,6 +57,9 @@ class TargetContract(NamedTuple):
     profiler_commands: tuple[str, ...] = ()
 
 
+_PATHS = ("reference_impl", "weights", "checker", "benchmark")
+
+
 class ContractViolation(NamedTuple):
     subject: str  # field or type the violation cites, e.g. "RoundBudget"
     detail: str
@@ -78,94 +73,64 @@ class ValidationReport(NamedTuple):
         return not self.violations
 
 
-_REQUIRED_KEYS = ("name", "reference_impl", "weights", "checker", "benchmark", "instructions")
-_OPTIONAL_KEYS = ("probe_prompts", "budgets", "profiler_commands")
-_BUDGET_KEYS = ("max_rounds", "retry_budget", "round_wall_clock_limit_s", "agent_timeout_s")
-
-
-def _require(doc: dict, key: str):
-    if key not in doc:
-        raise MissingField(key)
-    return doc[key]
+def _integer(key: str, raw: object) -> int:
+    """A JSON integer or whole float; not a bool, ``Infinity`` or ``NaN``."""
+    whole = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
+    if isinstance(raw, bool) or not whole:
+        raise ContractError(f"{key} must be an integer, got {json.dumps(raw)}")
+    return int(raw)
 
 
 def load_contract(config_path: str | Path) -> TargetContract:
-    """Load and check a target config's schema; all returned paths are
-    absolute. Whether the artifacts exist and run is
-    :func:`validate_contract`'s question, which every run asks first. The
-    weights path must exist, but no agent, gate or prompt reads it.
-    """
+    """Load a target config, type-checking every value as it comes in; all
+    returned paths are absolute and each budget is a JSON integer. A
+    missing, unknown or ill-typed key raises a :class:`ContractError` naming
+    it. Whether the artifacts exist and run is :func:`validate_contract`'s
+    question, which every run asks first. The weights path must exist, but
+    no agent, gate or prompt reads it."""
     config_path = Path(config_path).resolve()
     doc = json.loads(config_path.read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ContractError("target config must be a JSON object")
-
-    unknown = set(doc) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS)
+    unknown = set(doc) - set(TargetContract._fields)
     if unknown:
         raise UnknownField(f"unknown config keys: {sorted(unknown)}")
+    for key in TargetContract._fields:
+        if key not in doc and key not in TargetContract._field_defaults:
+            raise MissingField(key)
+    for key in ("name", "instructions"):
+        if not isinstance(doc[key], str):
+            raise ContractError(f"config field {key} must be a string")
 
-    base = config_path.parent
-
-    def resolve(key: str) -> Path:
-        raw = _require(doc, key)
+    fields = dict(doc)  # name and instructions as given; every other key is replaced below
+    for key in _PATHS:
+        raw = doc[key]
         if not isinstance(raw, str) or not raw:
             raise ContractError(f"config field {key} must be a nonempty string")
         p = Path(raw)
-        return p if p.is_absolute() else (base / p).resolve()
-
-    name = _require(doc, "name")
-    instructions = _require(doc, "instructions")
-    reference_impl = resolve("reference_impl")
-    weights = resolve("weights")
-    checker = resolve("checker")
-    benchmark = resolve("benchmark")
+        fields[key] = p if p.is_absolute() else (config_path.parent / p).resolve()
 
     budgets_doc = doc.get("budgets", {})
     if not isinstance(budgets_doc, dict):
         raise ContractError("budgets must be a JSON object")
-    unknown_budget = set(budgets_doc) - set(_BUDGET_KEYS)
-    if unknown_budget:
-        raise UnknownField(f"unknown budget keys: {sorted(unknown_budget)}")
-    budgets = RoundBudget(
-        max_rounds=int(budgets_doc.get("max_rounds", DEFAULT_MAX_ROUNDS)),
-        retry_budget=int(budgets_doc.get("retry_budget", DEFAULT_RETRY_BUDGET)),
-        round_wall_clock_limit_s=int(
-            budgets_doc.get("round_wall_clock_limit_s", DEFAULT_ROUND_WALL_CLOCK_S)
-        ),
-        agent_timeout_s=int(budgets_doc.get("agent_timeout_s", DEFAULT_AGENT_TIMEOUT_S)),
-    )
+    unknown = set(budgets_doc) - set(RoundBudget._fields)
+    if unknown:
+        raise UnknownField(f"unknown budget keys: {sorted(unknown)}")
+    fields["budgets"] = RoundBudget(**{k: _integer(f"budgets.{k}", v) for k, v in budgets_doc.items()})
 
-    probe_prompts = doc.get("probe_prompts", [])
-    if not isinstance(probe_prompts, list) or not all(isinstance(p, str) for p in probe_prompts):
-        raise ContractError("probe_prompts must be a list of strings")
-    profiler_commands = doc.get("profiler_commands", [])
-    if not isinstance(profiler_commands, list) or not all(
-        isinstance(c, str) for c in profiler_commands
-    ):
-        raise ContractError("profiler_commands must be a list of strings")
-
-    return TargetContract(
-        name=str(name),
-        reference_impl=reference_impl,
-        weights=weights,
-        checker=checker,
-        benchmark=benchmark,
-        instructions=str(instructions),
-        probe_prompts=tuple(probe_prompts),
-        budgets=budgets,
-        profiler_commands=tuple(profiler_commands),
-    )
+    for key in ("probe_prompts", "profiler_commands"):
+        value = doc.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+            raise ContractError(f"{key} must be a list of strings")
+        fields[key] = tuple(value)
+    return TargetContract(**fields)
 
 
 def validate_contract(c: TargetContract) -> ValidationReport:
     """Collect usability violations as data; an empty report means usable."""
     out: list[ContractViolation] = []
-    for role, p in (
-        ("reference_impl", c.reference_impl),
-        ("weights", c.weights),
-        ("checker", c.checker),
-        ("benchmark", c.benchmark),
-    ):
+    for role in _PATHS:
+        p = getattr(c, role)
         if not p.exists():
             out.append(ContractViolation(role, f"path does not exist: {p}"))
     for role, p in (("checker", c.checker), ("benchmark", c.benchmark)):

@@ -172,8 +172,8 @@ class ScanReport(NamedTuple):
     unchecked: tuple[str, ...]
 
 
-# A failed build or benchmark keeps the end of its stderr, where the error
-# is, short enough that the whole message fits in round_finished's detail.
+# A failed build, checker or benchmark keeps the end of its stderr, where the
+# error is, short enough that the whole message fits in round_finished's detail.
 _STDERR_TAIL = 1800
 
 
@@ -198,7 +198,7 @@ def process_probe_runner(candidate_root: Path, timeout_s: float = 30.0) -> Probe
         try:
             done = _run_gate([str(run_path), prompt], candidate_root, timeout_s, text=False)
         except OSError as exc:
-            raise ProbeRunFailed(f"probe run failed: {exc}") from exc
+            raise ProbeRunFailed(str(exc)) from exc
         if done.returncode != 0:
             raise ProbeRunFailed(
                 f"probe run exited {done.returncode}: {done.stderr.decode(errors='replace')[-400:]}"
@@ -336,7 +336,7 @@ def judge(
             _check_mounts(ws, violations)
             raise
         if rc != 0:
-            violations.append(Violation(ACCURACY, stderr.strip() or f"checker exited {rc}"))
+            violations.append(Violation(ACCURACY, stderr.strip()[-_STDERR_TAIL:] or f"checker exited {rc}"))
 
     # (2) mounts: tampering invalidates everything else this round.
     _check_mounts(ws, violations)
@@ -354,7 +354,7 @@ def judge(
     # (4) judge agent review of the diff and runtime notes. The round's
     # start is ws.head: execute_round positions the workspace there.
     tree = ws.worktree_digest()
-    changes = diff_since(ws, ws.head, tree)
+    changes = diff_since(ws, tree)
     diff_lines = [f"{c.kind} {c.path} ({c.line_delta:+d} lines)" for c in changes]
     runtime_notes = [f"deterministic violations so far: {len(violations)}"]
     runtime_notes += [f"- {v.kind}: {v.detail}" for v in violations]

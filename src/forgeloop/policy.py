@@ -148,7 +148,7 @@ class MemoryDoc:
         if heading not in MEMORY_HEADINGS:
             raise ValueError(f"unknown memory heading: {heading}")
         body = self.sections.get(heading, "")
-        self.sections[heading] = (body + "\n" + line).strip("\n")
+        self.sections[heading] = (body + "\n" + _one_line(line)).strip("\n")
 
 
 # -- best tracker ----------------------------------------------------------------
@@ -196,7 +196,7 @@ DEFAULT_CRITERIA = ("the candidate passes the accuracy checker",)
 
 
 def _one_line(text: str) -> str:
-    """An agent's free text as one line, so it cannot open a section of a
+    """Agent or checker text as one line, so it cannot open a section of a
     markdown state file."""
     return " ".join(text.split())
 
@@ -597,9 +597,9 @@ class RalphPolicy(Policy):
             if not kept:
                 summary += " (regressed; reverted to best)"
             if result.hints:
-                summary += "; hints: " + "; ".join(_one_line(h) for h in result.hints)
+                summary += "; hints: " + "; ".join(result.hints)
         else:
             detail = result.feedback[0] if result.feedback else "no feedback"
             summary = f"- round {round_index}: {result.status.value}; {detail}"
         with self._history_path.open("a", encoding="utf-8") as history:
-            history.write(summary.rstrip("\n") + "\n")
+            history.write(_one_line(summary) + "\n")

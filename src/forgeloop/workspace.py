@@ -372,14 +372,12 @@ class Change(NamedTuple):
 _KIND = {"A": "added", "M": "modified", "D": "deleted"}
 
 
-def diff_since(ws: Workspace, cp: "Checkpoint | str", tree: str) -> tuple[Change, ...]:
-    """Content-based change summary between a checkpoint (or raw commit id)
-    and a tree, such as a ``worktree_digest``."""
-    base = cp.commit if isinstance(cp, Checkpoint) else cp
-    base_tree = ws.head_tree if base == ws.head else ws.tree_digest(base)
+def diff_since(ws: Workspace, tree: str) -> tuple[Change, ...]:
+    """Content-based change summary from the round start, ``ws.head``, to a
+    tree such as a ``worktree_digest``."""
     # Raw lines (":<modes> <shas> <code>\t<path>") come first, then numstat
     # lines ("<added>\t<deleted>\t<path>", "-" for binary files).
-    out = ws._git("diff-tree", "-r", "--raw", "--numstat", "--no-abbrev", base_tree, tree).stdout
+    out = ws._git("diff-tree", "-r", "--raw", "--numstat", "--no-abbrev", ws.head_tree, tree).stdout
 
     kinds: dict[str, str] = {}
     deltas: dict[str, int] = {}

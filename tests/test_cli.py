@@ -76,6 +76,23 @@ def test_run_missing_benchmark_exit_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_ill_typed_budget_is_one_error_line_not_a_traceback(tmp_path):
+    config = toy.write_target(tmp_path / "target")
+    doc = json.loads(config.read_text())
+    doc["budgets"]["max_rounds"] = "abc"
+    config.write_text(json.dumps(doc))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "forgeloop.cli", "run", "--config", str(config), "--mode", "stub",
+         "--stub-scripts", str(tmp_path), "--workspace", str(tmp_path / "ws")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ['error: budgets.max_rounds must be an integer, got "abc"']
+
+
 def test_report_and_status_over_run_ledger(success_run, capsys):
     _, ledger = success_run
     assert run_cli(["report", "--ledger", str(ledger)]) == 0

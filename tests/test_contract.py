@@ -1,10 +1,13 @@
 """Target config loading, validation, and the schema's failure modes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from forgeloop.contract import (
+    ContractError,
     MissingField,
     RoundBudget,
     UnknownField,
@@ -13,6 +16,14 @@ from forgeloop.contract import (
 )
 
 import toy
+
+
+def rewrite(config, **changes):
+    """Rewrite a config file with some top-level keys replaced."""
+    doc = json.loads(config.read_text())
+    doc.update(changes)
+    config.write_text(json.dumps(doc))
+    return config
 
 
 def test_load_resolves_all_paths_and_fields(tmp_path, toy_contract):
@@ -117,3 +128,33 @@ def test_validate_missing_weights_reported(tmp_path, toy_contract):
     assert [(v.subject, v.detail) for v in report.violations] == [
         ("weights", f"path does not exist: {tmp_path / 'vanished'}")
     ]
+
+
+@pytest.mark.parametrize("key", RoundBudget._fields)
+@pytest.mark.parametrize("value", ["abc", None, True, [], 2.5, float("inf"), float("nan")])
+def test_ill_typed_budget_is_a_contract_error_naming_the_key(tmp_path, key, value):
+    config = rewrite(toy.write_target(tmp_path / "t"), budgets={key: value})
+    with pytest.raises(ContractError, match=rf"^budgets\.{key} must be an integer"):
+        load_contract(config)
+
+
+def test_whole_float_budget_loads_as_int(tmp_path):
+    config = rewrite(toy.write_target(tmp_path / "t"), budgets={"max_rounds": 5.0})
+    budgets = load_contract(config).budgets
+    assert budgets == RoundBudget(max_rounds=5) and type(budgets.max_rounds) is int
+
+
+@pytest.mark.parametrize("key", ["name", "instructions"])
+def test_non_string_name_or_instructions_refused(tmp_path, key):
+    config = rewrite(toy.write_target(tmp_path / "t"), **{key: None})
+    with pytest.raises(ContractError, match=f"config field {key} must be a string"):
+        load_contract(config)
+
+
+def test_readme_example_config_loads_with_default_budgets(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Target config", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    config = tmp_path / "target.json"
+    config.write_text(example)
+    assert load_contract(config).budgets == RoundBudget()

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from forgeloop import innerloop
 from forgeloop.gates.metrics import MetricReport
 from forgeloop.innerloop import (
     Agents,
@@ -262,6 +263,26 @@ def test_build_failure_keeps_the_end_of_a_long_stderr(toy_workspace, toy_contrac
     (build_failure,) = [v for v in verdict.violations if v.detail.startswith("build failed")]
     assert build_failure.detail.startswith("build failed (2): x")
     assert build_failure.detail.rstrip().endswith("undefined symbol: foo")
+
+
+def test_checker_failure_keeps_the_end_of_a_long_stderr(toy_contract, tmp_path):
+    checker = tmp_path / "checker"
+    checker.write_text("#!/bin/sh\nprintf 'x%.0s' $(seq 5000) >&2\necho 'REAL ERROR' >&2\nexit 1\n")
+    checker.chmod(0o755)
+    contract = toy_contract._replace(checker=checker)
+    ws = init_workspace(contract, tmp_path / "ws")
+    write_candidate(ws, toy.candidate_source(0.0))
+    verdict = judge_once(ws, contract, tmp_path)
+    [failure] = [v for v in verdict.violations if "REAL ERROR" in v.detail]
+    assert len(failure.detail) <= innerloop._STDERR_TAIL
+    assert failure.detail.endswith("REAL ERROR")
+
+
+def test_a_probe_that_cannot_start_says_so_once(toy_workspace, toy_contract, tmp_path):
+    write_candidate(toy_workspace, "#!/nonexistent\n")
+    verdict = judge_once(toy_workspace, toy_contract, tmp_path)
+    [probe] = [v.detail for v in verdict.violations if "probe run failed" in v.detail]
+    assert probe.count("probe run failed") == 1
 
 
 def test_run_benchmark_and_metric(toy_workspace, toy_contract):

@@ -215,10 +215,10 @@ def test_verify_mounts_detects_missing(toy_workspace):
 def test_diff_since_added_file(toy_workspace):
     ws = toy_workspace
     write_candidate(ws, text="#!/bin/sh\necho base\n")
-    cp = commit_checkpoint(ws, 0, metric(), checked(ws))
+    commit_checkpoint(ws, 0, metric(), checked(ws))
     lines = "".join(f"line {i}\n" for i in range(10))
     (ws.candidate_root / "extra.txt").write_text(lines)
-    changes = diff_since(ws, cp, ws.worktree_digest())
+    changes = diff_since(ws, ws.worktree_digest())
     assert len(changes) == 1
     assert changes[0].path == "candidate/extra.txt"
     assert changes[0].kind == "added"
@@ -228,27 +228,27 @@ def test_diff_since_added_file(toy_workspace):
 def test_diff_since_no_changes(toy_workspace):
     ws = toy_workspace
     write_candidate(ws)
-    cp = commit_checkpoint(ws, 0, metric(), checked(ws))
-    assert diff_since(ws, cp, ws.worktree_digest()) == ()
+    commit_checkpoint(ws, 0, metric(), checked(ws))
+    assert diff_since(ws, ws.worktree_digest()) == ()
 
 
 def test_diff_since_reverted_edit_is_empty(toy_workspace):
     ws = toy_workspace
     path = write_candidate(ws, text="#!/bin/sh\necho original\n")
-    cp = commit_checkpoint(ws, 0, metric(), checked(ws))
+    commit_checkpoint(ws, 0, metric(), checked(ws))
     path.write_text("#!/bin/sh\necho changed\n")
     path.write_text("#!/bin/sh\necho original\n")
-    assert diff_since(ws, cp, ws.worktree_digest()) == ()
+    assert diff_since(ws, ws.worktree_digest()) == ()
 
 
 def test_diff_since_modification_and_delete(toy_workspace):
     ws = toy_workspace
     path = write_candidate(ws, text="a\nb\nc\n")
     (ws.candidate_root / "gone.txt").write_text("x\n")
-    cp = commit_checkpoint(ws, 0, metric(), checked(ws))
+    commit_checkpoint(ws, 0, metric(), checked(ws))
     path.write_text("a\nc\n")
     (ws.candidate_root / "gone.txt").unlink()
-    changes = {c.path: c for c in diff_since(ws, cp, ws.worktree_digest())}
+    changes = {c.path: c for c in diff_since(ws, ws.worktree_digest())}
     assert changes["candidate/run"].kind == "modified"
     assert changes["candidate/run"].line_delta == -1
     assert changes["candidate/gone.txt"].kind == "deleted"
@@ -272,13 +272,10 @@ def test_checkpoints_reachable_from_baseline_after_revert(toy_workspace):
     assert cp3.parent == cp1.commit
 
 
-def test_unknown_commit_raises_from_diff_since_and_tree_digest(toy_workspace):
+def test_unknown_commit_raises_from_tree_digest(toy_workspace):
     ws = toy_workspace
-    ghost = "0" * 40
     with pytest.raises(UnknownCommit):
-        diff_since(ws, ghost, ws.worktree_digest())
-    with pytest.raises(UnknownCommit):
-        ws.tree_digest(ghost)
+        ws.tree_digest("0" * 40)
     with pytest.raises(UnknownCommit):  # a tree id is not a commit
         ws.tree_digest(ws.tree_digest(ws.head))
 
@@ -287,10 +284,10 @@ def test_diff_since_binary_file_has_zero_line_delta(toy_workspace):
     ws = toy_workspace
     write_candidate(ws)
     (ws.candidate_root / "weights.bin").write_bytes(bytes(range(256)))
-    cp = commit_checkpoint(ws, 0, metric(), checked(ws))
+    commit_checkpoint(ws, 0, metric(), checked(ws))
     (ws.candidate_root / "weights.bin").write_bytes(bytes(range(256)) * 2)
     (ws.candidate_root / "new.bin").write_bytes(b"\0\1\2")
-    changes = [(c.path, c.kind, c.line_delta) for c in diff_since(ws, cp, ws.worktree_digest())]
+    changes = [(c.path, c.kind, c.line_delta) for c in diff_since(ws, ws.worktree_digest())]
     assert changes == [("candidate/new.bin", "added", 0), ("candidate/weights.bin", "modified", 0)]
 
 
