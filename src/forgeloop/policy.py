@@ -20,6 +20,7 @@ regresses, and tells ``end_round`` whether the round was kept.
 from __future__ import annotations
 
 import json
+import os
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from forgeloop.errors import ForgeloopError, checked
@@ -290,13 +291,16 @@ class IssueTrackerPolicy(Policy):
 
     def _persist(self, issue: Issue) -> None:
         """Append ``issue``'s new state (the last line per id wins on load) and
-        rewrite MEMORY.md only when its text changed: on a filesystem that
-        discards freed blocks synchronously, every rewrite waits on a discard."""
+        write MEMORY.md over in place, only when its text changed: on a
+        filesystem that discards freed blocks synchronously, a truncation
+        waits on a discard, and the document only grows."""
         with self._issues_path.open("a", encoding="utf-8") as fh:
             fh.write(issue.to_json() + "\n")
         memory = self.memory.serialize()
         if memory != self._memory_written:
-            self._memory_path.write_text(memory, encoding="utf-8")
+            with open(os.open(self._memory_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+                fh.write(memory.encode("utf-8"))
+                fh.truncate()
             self._memory_written = memory
 
     # -- tool surface -----------------------------------------------------

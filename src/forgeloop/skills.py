@@ -3,7 +3,8 @@
 A library is a directory tree ``<layer>/<skill-name>/SKILL.md``. Each
 SKILL.md starts with ``---``-delimited frontmatter carrying ``name``,
 ``description``, and optionally ``compatibility`` (a list of
-``layer/name`` links); the rest of the file is the markdown body. Layers
+``layer/name`` links, each to a skill of the library: ``load_library``
+refuses a dangling one); the rest of the file is the markdown body. Layers
 are the seven abstraction levels a serving engineer works through.
 
 The frontmatter is read by a small built-in reader for a subset of YAML:
@@ -78,11 +79,6 @@ class SkillEntry(NamedTuple):
 
 class SkillLibrary(NamedTuple):
     entries: tuple[SkillEntry, ...]
-
-
-class DanglingLink(NamedTuple):
-    source: tuple[str, str]
-    target: tuple[str, str]
 
 
 def default_library_path() -> Path:
@@ -234,7 +230,8 @@ def _parse_skill_md(path: Path, layer: str) -> SkillEntry:
 
 
 def load_library(directory: str | Path) -> SkillLibrary:
-    """Load every ``<layer>/<name>/SKILL.md`` under ``directory``, sorted."""
+    """Load every ``<layer>/<name>/SKILL.md`` under ``directory``, sorted; a
+    compatibility link to a skill the library lacks raises ``SkillsError``."""
     directory = Path(directory)
     if not directory.is_dir():
         raise SkillsError(f"skills directory does not exist: {directory}")
@@ -253,6 +250,10 @@ def load_library(directory: str | Path) -> SkillLibrary:
                 raise DuplicateName(f"duplicate skill {entry.name!r} under layer {layer}")
             seen.add(entry.key)
             entries.append(entry)
+    for entry in entries:
+        for target in entry.compatibility:
+            if target not in seen:
+                raise SkillsError(f"skill {'/'.join(entry.key)} links to unknown skill {'/'.join(target)}")
     entries.sort(key=lambda e: e.key)
     return SkillLibrary(entries=tuple(entries))
 
@@ -291,13 +292,3 @@ def retrieve(lib: SkillLibrary, query: str, k: int) -> list[SkillEntry]:
     scored.sort(key=lambda pair: (-pair[0], pair[1].key))
     return [entry for _, entry in scored[:k]]
 
-
-def validate_library(lib: SkillLibrary) -> list[DanglingLink]:
-    """Report compatibility links that do not resolve to a library entry."""
-    keys = {e.key for e in lib.entries}
-    dangling = []
-    for entry in lib.entries:
-        for target in entry.compatibility:
-            if target not in keys:
-                dangling.append(DanglingLink(source=entry.key, target=target))
-    return dangling

@@ -3,6 +3,7 @@
 Layout under the workspace root:
 
     .git/            history of validated checkpoints (branch: main)
+    .git/forgeloop-index   the checked index: the last worktree_digest's tree
     .gitignore       keeps mounts and loop state out of commits
     artifacts/       read-only copies of reference / checker / benchmark
     candidate/       the agent-writable serving-system tree
@@ -18,6 +19,15 @@ checkpoints stay reachable after a revert resets the branch. A checkpoint
 commits the tree the round's gates checked onto the previous checkpoint, so
 an agent's own commits never stay on ``main``, and every round leaves
 ``HEAD`` on ``main``, whatever branch an agent switched to.
+
+On a filesystem that discards freed blocks synchronously every replaced
+file waits on the disk, so a round replaces only what must change. A reset
+to a tree checks out git's index by taking the checked index when that
+still names the tree, keeping git's own when it does, and reading the tree
+otherwise; then it rewrites only the files whose stat differs from the
+index. ``HEAD`` and ``main`` are rewritten only when they moved. Besides
+the checked index, which each digest builds afresh, a validated round so
+replaces git's index once and ``main`` once.
 """
 
 from __future__ import annotations
@@ -27,7 +37,6 @@ import os
 import shutil
 import stat
 import subprocess
-import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -59,6 +68,7 @@ class UnknownCommit(WorkspaceError):
 
 ARTIFACTS_DIR = "artifacts"
 CANDIDATE_DIR = "candidate"
+CHECKED_INDEX = "forgeloop-index"  # under .git/, so in no tree
 
 _IGNORED = [
     "/artifacts/",
@@ -167,11 +177,17 @@ class Workspace:
         return proc.stdout.strip()
 
     def worktree_digest(self) -> str:
-        """Tree hash of the current worktree (tracked + unignored untracked)."""
-        with tempfile.TemporaryDirectory(prefix="fl-index-") as tmp:
-            env = {"GIT_INDEX_FILE": os.path.join(tmp, "index")}
-            self._git("add", "-A", env=env)
-            return self._git("write-tree", env=env).stdout.strip()
+        """Tree hash of the current worktree (tracked + unignored untracked).
+
+        It is built in the checked index, ``.git/forgeloop-index``: a stale
+        copy is removed, ``add -A`` fills it from empty and ``write-tree``
+        names it. The file stays, so a reset to this tree can take it as
+        git's index instead of writing one."""
+        index = self.root / ".git" / CHECKED_INDEX
+        index.unlink(missing_ok=True)
+        env = {"GIT_INDEX_FILE": str(index)}
+        self._git("add", "-A", env=env)
+        return self._git("write-tree", env=env).stdout.strip()
 
     # -- paths --------------------------------------------------------
 
@@ -265,6 +281,7 @@ def restore_mounts(ws: Workspace) -> None:
                 shutil.rmtree(target)
             else:
                 target.unlink()
+        target.parent.mkdir(exist_ok=True)  # an agent may have deleted artifacts/ whole
         if entry.source.is_dir():
             shutil.copytree(entry.source, target)
         else:
@@ -334,33 +351,60 @@ def _unlock_index(ws: Workspace) -> None:
     (ws.root / ".git" / "index.lock").unlink(missing_ok=True)
 
 
-def _check_out_main(ws: Workspace, commit: str) -> None:
+def _index_tree(ws: Workspace, index: Path) -> Optional[str]:
+    # On an index whose cache tree is whole, write-tree names it and writes nothing.
+    proc = ws._git("write-tree", check=False, env={"GIT_INDEX_FILE": str(index)})
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _check_out_tree(ws: Workspace, tree: str) -> None:
+    """Make git's index and the worktree describe ``tree``. Git's index
+    becomes the checked index when that names ``tree``, stays when it names
+    it already, and is otherwise read from ``tree`` once the ignored paths
+    an agent force-added have left it, so that no reset deletes a mount or
+    a state file. Then only the files whose stat differs are rewritten."""
     _unlock_index(ws)
-    checkout = ws._git("checkout", "-q", "-f", "-B", "main", f"{commit}^{{commit}}", check=False)
-    if checkout.returncode != 0:
-        ws.tree_digest(commit)  # raises UnknownCommit when that is the cause
-        raise WorkspaceError(f"git checkout -B main {commit} failed: {checkout.stderr.strip()}")
+    checked, index = ws.root / ".git" / CHECKED_INDEX, ws.root / ".git" / "index"
+    if checked.exists() and _index_tree(ws, checked) == tree:
+        os.replace(checked, index)
+    elif _index_tree(ws, index) != tree:
+        ignored = ws._git("ls-files", "-ci", "--exclude-standard", "-z").stdout
+        if ignored:
+            ws._git("update-index", "--force-remove", "-z", "--stdin", input=ignored)
+        ws._git("read-tree", "--reset", "-u", tree)
+    ws._git("checkout-index", "-a", "-f", "-q")
     _clean(ws)
+
+
+def _check_out_main(ws: Workspace, commit: str, tree: str) -> None:
+    # HEAD and main are rewritten only when an agent moved them.
+    head = ws.root / ".git" / "HEAD"
+    if not head.is_file() or head.read_text(encoding="utf-8") != "ref: refs/heads/main\n":
+        ws._git("symbolic-ref", "HEAD", "refs/heads/main")
+    moved = ws._git("update-ref", "-m", f"check out {commit}", "refs/heads/main", f"{commit}^{{commit}}",
+                    check=False)
+    if moved.returncode != 0:
+        ws.tree_digest(commit)  # raises UnknownCommit when that is the cause
+        raise WorkspaceError(f"git update-ref refs/heads/main {commit} failed: {moved.stderr.strip()}")
+    _check_out_tree(ws, tree)
 
 
 def revert_to(ws: Workspace, cp: Checkpoint) -> None:
     """Check out ``main`` at the checkpoint, with its tree; mounts are untouched."""
-    _check_out_main(ws, cp.commit)
+    _check_out_main(ws, cp.commit, cp.tree_digest)
     ws.head, ws.head_tree = cp.commit, cp.tree_digest
 
 
 def restore_tree(ws: Workspace, tree_digest: str) -> None:
     """Reset worktree content (not HEAD) to a previously snapshotted tree."""
-    _unlock_index(ws)
-    ws._git("read-tree", "--reset", "-u", tree_digest)
-    _clean(ws)
+    _check_out_tree(ws, tree_digest)
 
 
 def discard_worktree(ws: Workspace) -> None:
     """End a round: check ``main`` out at ``ws.head`` (the new checkpoint, or
     the round's start), dropping the round's edits and any commit or branch
     switch an agent made."""
-    _check_out_main(ws, ws.head)
+    _check_out_main(ws, ws.head, ws.head_tree)
 
 
 class Change(NamedTuple):

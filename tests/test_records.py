@@ -48,7 +48,7 @@ def _fields(cls) -> dict:
 
 def test_every_immutable_record_is_found():
     names = {cls.__name__ for cls in RECORDS}
-    assert len(RECORDS) >= 35
+    assert len(RECORDS) >= 34
     assert {"TargetContract", "Checkpoint", "LedgerEvent", "RunOutcome", "Violation", "HarnessConfig",
             "RoundDirective", "MetricReport", "SkillEntry"} <= names
 

@@ -542,11 +542,12 @@ def test_harness_that_never_starts_is_a_setup_error(tmp_path):
     assert "round_finished" not in kinds
 
 
-def run_committing_agent(tmp_path, candidates, before_commit=""):
+def run_committing_agent(tmp_path, candidates, before_commit="", judge=":"):
     """An agent-mode run of the ralph policy whose Implementer runs the shell
     line ``before_commit`` (``$1`` is the workspace, ``$r`` the round), writes
-    ``candidates[round]`` and commits it with git itself; the Judge and the
-    Evaluator do nothing. Returns the outcome and a git runner on the workspace."""
+    ``candidates[round]`` and commits it with git itself; the Judge runs the
+    shell line ``judge`` and the Evaluator does nothing. Returns the outcome
+    and a git runner on the workspace."""
     import fuzz
 
     config = fuzz.write_fuzz_target(tmp_path / "target", max_rounds=len(candidates), retry_budget=1)
@@ -557,6 +558,7 @@ def run_committing_agent(tmp_path, candidates, before_commit=""):
     agent = tmp_path / "committing_agent.sh"
     agent.write_text(
         "#!/bin/sh\n"
+        f'[ "$2" = Judge ] && {{ {judge}; exit 0; }}\n'
         '[ "$2" = Implementer ] || exit 0\n'
         'r=${3##*implementer-r}; r=${r%%-*}\n'
         f"{before_commit}\n"
@@ -603,18 +605,69 @@ def test_a_failed_round_drops_the_agents_commit_from_main(tmp_path):
     assert (tmp_path / "ws" / "candidate" / "run").read_text() == chars_candidate(100)
 
 
-@pytest.mark.parametrize("last_round", ["validated", "failed_budget"])
-def test_an_agent_that_switches_branches_leaves_head_on_main(last_round, tmp_path):
+BRANCH = 'git -C "$1" checkout -q -b "agent$r"'
+DETACH = 'git -C "$1" checkout -q --detach'
+ELSEWHERE = 'git -C "$1" symbolic-ref HEAD refs/heads/elsewhere'
+
+
+@pytest.mark.parametrize("switch, last_round", [
+    pytest.param(BRANCH, "validated", id="validated"),
+    pytest.param(BRANCH, "failed_budget", id="failed_budget"),
+    pytest.param(DETACH, "validated", id="detach-validated"),
+    pytest.param(DETACH, "failed_budget", id="detach-failed_budget"),
+    pytest.param(ELSEWHERE, "validated", id="elsewhere-validated"),
+    pytest.param(ELSEWHERE, "failed_budget", id="elsewhere-failed_budget"),
+])
+def test_an_agent_that_switches_branches_leaves_head_on_main(switch, last_round, tmp_path):
     import fuzz
 
     last = chars_candidate(120) if last_round == "validated" else fuzz.wrong_candidate(1)
-    outcome, git = run_committing_agent(
-        tmp_path, [chars_candidate(100), last], before_commit='git -C "$1" checkout -q -b "agent$r"'
-    )
+    outcome, git = run_committing_agent(tmp_path, [chars_candidate(100), last], before_commit=switch)
     statuses = [e.payload["status"] for e in read_ledger(tmp_path / "ledger.jsonl") if e.kind == "round_finished"]
     assert statuses == ["validated", last_round]
     assert git("symbolic-ref", "HEAD") == ["refs/heads/main"]
     assert git("rev-parse", "HEAD") == git("rev-parse", "main") == [outcome.best.commit]
+
+
+@pytest.mark.parametrize("force_add, last_statuses", [
+    pytest.param('[ "$r" = 1 ] &&', ["failed_budget", "validated"], id="round-1"),
+    pytest.param("", ["validated", "validated"], id="every-round"),
+])
+def test_an_agent_that_force_stages_the_mounts_ends_no_run(force_add, last_statuses, tmp_path):
+    # The agent commits artifacts/ with its candidate, in round 1 only (a
+    # wrong candidate) or in every round; no reset deletes the mounts, so
+    # every later round can still run the checker.
+    import fuzz
+
+    second = fuzz.wrong_candidate(1) if last_statuses[0] == "failed_budget" else chars_candidate(120)
+    run_committing_agent(
+        tmp_path,
+        [chars_candidate(100), second, chars_candidate(140)],
+        before_commit=f'{force_add} git -C "$1" add -f artifacts',
+    )
+    statuses = [e.payload["status"] for e in read_ledger(tmp_path / "ledger.jsonl") if e.kind == "round_finished"]
+    assert statuses == ["validated"] + last_statuses
+    assert (tmp_path / "ws" / "artifacts" / "checker").is_file()
+
+
+def test_a_judge_that_rewrites_the_checked_index_changes_nothing_measured(tmp_path):
+    # Round 0's Judge edits the candidate and rebuilds .git/forgeloop-index
+    # from its edit, cache tree and all; the benchmark still measures the
+    # tree the gates checked, and the checkpoint commits it.
+    judged = tmp_path / "judged"
+    judged.write_text(chars_candidate(300))
+    judge = (
+        f'cp "{judged}" "$1/candidate/run"; export GIT_INDEX_FILE="$1/.git/forgeloop-index"; '
+        'git -C "$1" add -A && git -C "$1" write-tree >/dev/null'
+    )
+    run_committing_agent(tmp_path, [chars_candidate(100)], judge=judge)
+    events = read_ledger(tmp_path / "ledger.jsonl")
+    checkpoint = next(e.payload for e in events if e.kind == "checkpoint")
+    assert checkpoint["metric"] == 100
+    shown = subprocess.run(
+        ["git", "show", "round-0:candidate/run"], cwd=tmp_path / "ws", capture_output=True, text=True, check=True
+    ).stdout
+    assert shown == chars_candidate(100)
 
 
 def test_a_ref_that_will_not_move_ends_only_its_round(tmp_path):

@@ -11,11 +11,11 @@ import pytest
 from forgeloop.skills import (
     DuplicateName,
     MalformedFrontmatter,
+    SkillsError,
     UnknownLayer,
     default_library_path,
     load_library,
     retrieve,
-    validate_library,
 )
 
 
@@ -131,15 +131,15 @@ def test_retrieve_tie_break_by_layer_then_name(tmp_path):
 
 
 def test_validate_reports_dangling_links(tmp_path):
+    # A library cannot load with a link to a skill it lacks; the error
+    # names the linking skill and the missing one.
+    write_skill(tmp_path, "reference_engine", "vllm", "paged attention engine")
     write_skill(
         tmp_path, "serving_algorithm", "spec-dec", "draft verify",
-        compatibility=["reference_engine/ghost-engine"],
+        compatibility=["reference_engine/vllm", "reference_engine/ghost-engine"],
     )
-    lib = load_library(tmp_path)
-    dangling = validate_library(lib)
-    assert len(dangling) == 1
-    assert dangling[0].source == ("serving_algorithm", "spec-dec")
-    assert dangling[0].target == ("reference_engine", "ghost-engine")
+    with pytest.raises(SkillsError, match="serving_algorithm/spec-dec links to unknown skill reference_engine/ghost-engine"):
+        load_library(tmp_path)
 
 
 def test_validate_no_links_and_self_link(tmp_path):
@@ -148,17 +148,19 @@ def test_validate_no_links_and_self_link(tmp_path):
         tmp_path, "framework", "selfy", "self reference", compatibility=["framework/selfy"]
     )
     lib = load_library(tmp_path)
-    assert validate_library(lib) == []
+    assert [e.compatibility for e in lib.entries] == [(("framework", "selfy"),), ()]
 
 
 def test_shipped_library_loads_every_layer_and_resolves():
+    # Loading checks every compatibility link: 13 bundled skills carry 22.
     lib = load_library(default_library_path())
     assert len(lib.entries) >= 10
     assert {e.layer for e in lib.entries} == {
         "model_architecture", "serving_algorithm", "framework", "backend_library",
         "hardware", "reference_engine", "tooling",
     }
-    assert validate_library(lib) == []
+    linked = [e for e in lib.entries if e.compatibility]
+    assert (len(linked), sum(len(e.compatibility) for e in linked)) == (13, 22)
 
 
 # -- frontmatter subset reader ---------------------------------------------

@@ -2,6 +2,7 @@
 
 import os
 import random
+import shutil
 import stat
 import subprocess
 import sys
@@ -322,6 +323,45 @@ def test_restore_tree_undoes_every_evaluator_edit(toy_workspace):
     assert not (ws.candidate_root / "scratch.txt").exists()
 
 
+def test_restore_tree_swaps_kinds_back_and_restores_execute_bits(toy_workspace):
+    # Between two restores of one snapshot the worktree trades a directory
+    # for a file, a file for a directory, and loses an execute bit; the
+    # second restore, which rewrites only what differs from the index,
+    # puts each back.
+    ws = toy_workspace
+    run = write_candidate(ws)
+    (ws.candidate_root / "lib").mkdir()
+    write_candidate(ws, "lib/util.sh", "util\n")
+    write_candidate(ws, "conf", "conf\n")
+    commit_checkpoint(ws, 0, metric(), checked(ws))
+    snapshot = ws.worktree_digest()
+    restore_tree(ws, snapshot)
+
+    (ws.candidate_root / "lib" / "util.sh").unlink()
+    (ws.candidate_root / "lib").rmdir()
+    (ws.candidate_root / "lib").write_text("now a file\n")
+    (ws.candidate_root / "conf").unlink()
+    (ws.candidate_root / "conf").mkdir()
+    (ws.candidate_root / "conf" / "inner.txt").write_text("now a directory\n")
+    run.chmod(0o644)
+
+    restore_tree(ws, snapshot)
+    assert ws.worktree_digest() == snapshot
+    assert ws._git("write-tree").stdout.strip() == snapshot
+    assert (ws.candidate_root / "lib" / "util.sh").read_text() == "util\n"
+    assert (ws.candidate_root / "conf").read_text() == "conf\n"
+    assert run.stat().st_mode & stat.S_IXUSR
+
+
+def test_restore_mounts_recreates_a_deleted_artifacts_directory(toy_workspace):
+    ws = toy_workspace
+    for path in ws.artifacts_root.rglob("*"):
+        path.chmod(0o755)
+    shutil.rmtree(ws.artifacts_root)
+    restore_mounts(ws)
+    assert verify_mounts(ws) == ()
+
+
 def test_validated_round_git_calls(toy_workspace, toy_contract, tmp_path, monkeypatch):
     # One validated round (Implementer, Judge, Evaluator, checkpoint) makes
     # at most this many git calls; a new call per round must be a decision.
@@ -340,22 +380,48 @@ def test_validated_round_git_calls(toy_workspace, toy_contract, tmp_path, monkey
 
     calls = []  # (calling function, git subcommand)
     original = Workspace._git
+    git_dir = toy_workspace.root / ".git"
+    inodes = {"index": [], "HEAD": []}  # each file's inode, each time it changed
+
+    def look():
+        for name, seen in inodes.items():
+            ino = (git_dir / name).stat().st_ino
+            if not seen or seen[-1] != ino:
+                seen.append(ino)
 
     def counting(self, *args, **kwargs):
         calls.append((sys._getframe(1).f_code.co_name, args[0]))
-        return original(self, *args, **kwargs)
+        look()
+        try:
+            return original(self, *args, **kwargs)
+        finally:
+            look()
 
+    memory = toy_workspace.root / "MEMORY.md"
+    memory_inode = memory.stat().st_ino
     monkeypatch.setattr(Workspace, "_git", counting)
+    look()
     try:
         result = execute_round(directive, 0, toy_workspace, contract, agents)
+        policy.end_round(directive, result, 0, True)
     finally:
         server.shutdown()
+    look()
     assert result.status is RoundStatus.VALIDATED
-    assert len(calls) <= 9, calls
+    assert len(calls) <= 12, calls
     # The checkpoint commits the checked tree and moves its refs by id.
     assert [cmd for caller, cmd in calls if caller == "commit_checkpoint"] == ["commit-tree", "update-ref"]
-    # The round ends in its one reset, onto the new checkpoint.
-    assert calls[-2:] == [("_check_out_main", "checkout"), ("_clean", "clean")]
+    # The round ends in its one reset, onto the new checkpoint: main is
+    # already there, and git's index already names its tree.
+    assert calls[-4:] == [
+        ("_check_out_main", "update-ref"), ("_index_tree", "write-tree"),
+        ("_check_out_tree", "checkout-index"), ("_clean", "clean"),
+    ]
+    # Git's index is replaced once, by the checked index; HEAD is never
+    # rewritten, and MEMORY.md is written over in place.
+    assert len(inodes["index"]) == 2 and len(inodes["HEAD"]) == 1, inodes
+    assert memory.stat().st_ino == memory_inode
+    assert memory.read_text() == policy.memory.serialize() and "validated" in memory.read_text()
 
 
 def test_git_copies_the_environment_only_to_add_variables(toy_workspace, monkeypatch):
