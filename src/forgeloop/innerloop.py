@@ -499,7 +499,8 @@ def execute_round(
                 directive.pass_criteria,
                 skills,
                 feedback=feedback,
-                instructions=contract.instructions,
+                instructions=f"{contract.instructions}\n\nModel weights (read-only, not copied into the "
+                f"workspace): {contract.weights}",
             )
             agents.turn(ws, bundle, round_index, attempt)
             verdict = judge(ws, directive, contract, agents, round_index, attempt, benchmark_outputs)

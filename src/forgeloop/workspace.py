@@ -4,7 +4,7 @@ Layout under the workspace root:
 
     .git/            history of validated checkpoints (branch: main)
     .git/forgeloop-index   the checked index: the last worktree_digest's tree
-    .gitignore       keeps mounts and loop state out of commits
+    .git/info/exclude      keeps mounts and loop state out of commits
     artifacts/       read-only copies of reference / checker / benchmark
     candidate/       the agent-writable serving-system tree
     MEMORY.md, ISSUES.jsonl, ...   policy state, never committed
@@ -22,12 +22,12 @@ an agent's own commits never stay on ``main``, and every round leaves
 
 On a filesystem that discards freed blocks synchronously every replaced
 file waits on the disk, so a round replaces only what must change. A reset
-to a tree checks out git's index by taking the checked index when that
-still names the tree, keeping git's own when it does, and reading the tree
-otherwise; then it rewrites only the files whose stat differs from the
-index. ``HEAD`` and ``main`` are rewritten only when they moved. Besides
-the checked index, which each digest builds afresh, a validated round so
-replaces git's index once and ``main`` once.
+reads only index files the loop wrote (``ws.indexes``): it takes the
+checked index, or keeps git's own, when the loop wrote it for the tree, and
+reads the tree otherwise; then it rewrites only the files whose stat
+differs from the index. ``HEAD`` and ``main`` are rewritten only when they
+moved. Besides the checked index, which each digest builds afresh, a
+validated round so replaces git's index once and ``main`` once.
 """
 
 from __future__ import annotations
@@ -126,6 +126,10 @@ def _digest_path(path: Path) -> str:
     raise MountFailed(f"mount source vanished: {path}")
 
 
+def _index_key(path: Path) -> Optional[str]:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
+
+
 def _set_readonly(path: Path) -> None:
     def lock(p: Path):
         mode = p.stat().st_mode
@@ -150,16 +154,17 @@ class Workspace:
         self.mounts = mounts  # the digest of each mount, recorded at init
         self.head = head
         self.head_tree = ""  # the tree of ``head``, set wherever ``head`` moves
+        self.indexes: dict[str, str] = {}  # _index_key of each index file the loop wrote -> its tree
 
     # -- git plumbing -------------------------------------------------
 
     def _git(
         self, *args: str, check: bool = True, env: dict | None = None, input: str | None = None
     ) -> subprocess.CompletedProcess:
-        # Only a call that adds variables pays for a copy of the environment;
-        # every other one lets git inherit it.
+        # No hook or fsmonitor program an agent planted runs. Only a call that
+        # adds variables pays for a copy of the environment.
         proc = subprocess.run(
-            ["git", *args],
+            ["git", "-c", "core.hooksPath=/dev/null", "-c", "core.fsmonitor=false", *args],
             cwd=self.root,
             capture_output=True,
             text=True,
@@ -181,13 +186,15 @@ class Workspace:
 
         It is built in the checked index, ``.git/forgeloop-index``: a stale
         copy is removed, ``add -A`` fills it from empty and ``write-tree``
-        names it. The file stays, so a reset to this tree can take it as
-        git's index instead of writing one."""
+        names it. The file stays, and ``indexes`` records its bytes, so a
+        reset to this tree can take it as git's index instead of writing one."""
         index = self.root / ".git" / CHECKED_INDEX
         index.unlink(missing_ok=True)
         env = {"GIT_INDEX_FILE": str(index)}
         self._git("add", "-A", env=env)
-        return self._git("write-tree", env=env).stdout.strip()
+        tree = self._git("write-tree", env=env).stdout.strip()
+        self.indexes[_index_key(index)] = tree
+        return tree
 
     # -- paths --------------------------------------------------------
 
@@ -216,7 +223,7 @@ def init_workspace(contract, root: str | Path) -> Workspace:
     ws = Workspace(root=root, mounts=(), head="")
 
     # An empty template skips copying git's sample hooks and info/ into every
-    # workspace; it also keeps a user's template hooks off checkpoint commits.
+    # workspace.
     ws._git("init", "-q", "-b", "main", "--template=")
 
     # One append sets identity and signing; each `git config` call would
@@ -225,9 +232,9 @@ def init_workspace(contract, root: str | Path) -> Workspace:
         config.write("[user]\n\temail = loop@forgeloop.local\n\tname = forgeloop\n"
                      "[commit]\n\tgpgsign = false\n")
 
-    (root / ".gitignore").write_text("\n".join(_IGNORED) + "\n", encoding="utf-8")
-    ws._git("add", ".gitignore")
-    ws._git("commit", "-q", "-m", "baseline")
+    (root / ".git" / "info").mkdir()
+    (root / ".git" / "info" / "exclude").write_text("\n".join(_IGNORED) + "\n", encoding="utf-8")
+    ws._git("commit", "-q", "--allow-empty", "-m", "baseline")
     ws.head, ws.head_tree = ws._git("rev-parse", "HEAD", "HEAD^{tree}").stdout.split()
 
     (root / CANDIDATE_DIR).mkdir()
@@ -351,27 +358,21 @@ def _unlock_index(ws: Workspace) -> None:
     (ws.root / ".git" / "index.lock").unlink(missing_ok=True)
 
 
-def _index_tree(ws: Workspace, index: Path) -> Optional[str]:
-    # On an index whose cache tree is whole, write-tree names it and writes nothing.
-    proc = ws._git("write-tree", check=False, env={"GIT_INDEX_FILE": str(index)})
-    return proc.stdout.strip() if proc.returncode == 0 else None
-
-
 def _check_out_tree(ws: Workspace, tree: str) -> None:
     """Make git's index and the worktree describe ``tree``. Git's index
-    becomes the checked index when that names ``tree``, stays when it names
-    it already, and is otherwise read from ``tree`` once the ignored paths
-    an agent force-added have left it, so that no reset deletes a mount or
-    a state file. Then only the files whose stat differs are rewritten."""
+    becomes the checked index, or stays, when the loop wrote it for ``tree``;
+    otherwise ``tree`` is read over a loop-written index or none, leaving the
+    worktree alone, so no reset deletes a mount or a state file. Then only
+    the files whose stat differs are rewritten."""
     _unlock_index(ws)
     checked, index = ws.root / ".git" / CHECKED_INDEX, ws.root / ".git" / "index"
-    if checked.exists() and _index_tree(ws, checked) == tree:
+    if ws.indexes.get(_index_key(checked)) == tree:
         os.replace(checked, index)
-    elif _index_tree(ws, index) != tree:
-        ignored = ws._git("ls-files", "-ci", "--exclude-standard", "-z").stdout
-        if ignored:
-            ws._git("update-index", "--force-remove", "-z", "--stdin", input=ignored)
-        ws._git("read-tree", "--reset", "-u", tree)
+    elif ws.indexes.get(key := _index_key(index)) != tree:
+        if key not in ws.indexes:
+            index.unlink(missing_ok=True)
+        ws._git("read-tree", "--reset", tree)
+        ws.indexes[_index_key(index)] = tree
     ws._git("checkout-index", "-a", "-f", "-q")
     _clean(ws)
 

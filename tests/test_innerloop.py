@@ -415,7 +415,7 @@ def test_judge_agent_edits_never_reach_the_checkpoint(toy_workspace, toy_contrac
     _, result = run_round(ws, with_retries(toy_contract, 1), tmp_path, scripts)
 
     assert result.status is RoundStatus.VALIDATED
-    assert ws._git("ls-tree", "-r", "--name-only", "round-0").stdout.split() == [".gitignore", "candidate/run"]
+    assert ws._git("ls-tree", "-r", "--name-only", "round-0").stdout.split() == ["candidate/run"]
     assert ws._git("show", "round-0:candidate/run").stdout == toy.V0
     assert (ws.candidate_root / "run").read_text() == toy.V0
     assert not (ws.candidate_root / "notes.txt").exists()

@@ -2,6 +2,7 @@
 
 import hashlib
 import subprocess
+import sys
 
 import pytest
 
@@ -51,6 +52,18 @@ def test_single_round_success(tmp_path):
     assert finished.payload["status"] == "validated"
     assert finished.payload["transition"] == "in_progress->done"
     assert finished.payload["backlog"]["done"] == 1
+
+
+def test_the_implementer_is_told_where_the_weights_are(tmp_path):
+    contract = fast_target(tmp_path, max_rounds=1, retry_budget=1)
+    scripts = tmp_path / "scripts"
+    correct_patch_script(scripts)
+    run_target(
+        contract, workspace_root=tmp_path / "ws", ledger_path=tmp_path / "ledger.jsonl", stub_scripts=scripts
+    )
+    prompt = (tmp_path / "ws" / ".prompts" / "implementer-r0-a1.md").read_text()
+    assert f"(read-only, not copied into the workspace): {contract.weights}" in prompt
+    assert not (tmp_path / "ws" / "weights").exists()
 
 
 def test_round_started_carries_the_task_digest(tmp_path):
@@ -542,12 +555,13 @@ def test_harness_that_never_starts_is_a_setup_error(tmp_path):
     assert "round_finished" not in kinds
 
 
-def run_committing_agent(tmp_path, candidates, before_commit="", judge=":"):
-    """An agent-mode run of the ralph policy whose Implementer runs the shell
+def run_committing_agent(tmp_path, candidates, before_commit="", judge=":", policy_name="ralph", ledger_path=None):
+    """An agent-mode run of ``policy_name`` whose Implementer runs the shell
     line ``before_commit`` (``$1`` is the workspace, ``$r`` the round), writes
     ``candidates[round]`` and commits it with git itself; the Judge runs the
-    shell line ``judge`` and the Evaluator does nothing. Returns the outcome
-    and a git runner on the workspace."""
+    shell line ``judge`` and every other role does nothing. The ledger is
+    ``ledger_path``, by default ``tmp_path / "ledger.jsonl"``. Returns the
+    outcome and a git runner on the workspace."""
     import fuzz
 
     config = fuzz.write_fuzz_target(tmp_path / "target", max_rounds=len(candidates), retry_budget=1)
@@ -569,8 +583,8 @@ def run_committing_agent(tmp_path, candidates, before_commit="", judge=":"):
     outcome = run_target(
         load_contract(config),
         workspace_root=tmp_path / "ws",
-        ledger_path=tmp_path / "ledger.jsonl",
-        policy_name="ralph",
+        ledger_path=ledger_path or tmp_path / "ledger.jsonl",
+        policy_name=policy_name,
         mode="agent",
         harness_cmd=f"{agent} {{workspace}} {{role}} {{prompt_file}}",
     )
@@ -650,6 +664,15 @@ def test_an_agent_that_force_stages_the_mounts_ends_no_run(force_add, last_statu
     assert (tmp_path / "ws" / "artifacts" / "checker").is_file()
 
 
+def assert_round_0_measured_what_it_checked(tmp_path):
+    checkpoint = next(e.payload for e in read_ledger(tmp_path / "ledger.jsonl") if e.kind == "checkpoint")
+    assert checkpoint["metric"] == 100
+    shown = subprocess.run(
+        ["git", "show", "round-0:candidate/run"], cwd=tmp_path / "ws", capture_output=True, text=True, check=True
+    ).stdout
+    assert shown == chars_candidate(100)
+
+
 def test_a_judge_that_rewrites_the_checked_index_changes_nothing_measured(tmp_path):
     # Round 0's Judge edits the candidate and rebuilds .git/forgeloop-index
     # from its edit, cache tree and all; the benchmark still measures the
@@ -661,13 +684,92 @@ def test_a_judge_that_rewrites_the_checked_index_changes_nothing_measured(tmp_pa
         'git -C "$1" add -A && git -C "$1" write-tree >/dev/null'
     )
     run_committing_agent(tmp_path, [chars_candidate(100)], judge=judge)
-    events = read_ledger(tmp_path / "ledger.jsonl")
-    checkpoint = next(e.payload for e in events if e.kind == "checkpoint")
-    assert checkpoint["metric"] == 100
-    shown = subprocess.run(
-        ["git", "show", "round-0:candidate/run"], cwd=tmp_path / "ws", capture_output=True, text=True, check=True
-    ).stdout
-    assert shown == chars_candidate(100)
+    assert_round_0_measured_what_it_checked(tmp_path)
+
+
+def test_a_judge_that_hides_its_edit_behind_skip_worktree_changes_nothing_measured(tmp_path):
+    # Round 0's Judge makes git's index name the checked tree, flags the
+    # candidate skip-worktree and then edits it; a reset that kept that index
+    # would leave the edit on disk for the benchmark.
+    judged = tmp_path / "judged"
+    judged.write_text(chars_candidate(300))
+    judge = (
+        'T=$(GIT_INDEX_FILE="$1/.git/forgeloop-index" git -C "$1" write-tree); rm "$1/.git/forgeloop-index"; '
+        'git -C "$1" read-tree "$T" && git -C "$1" update-index --skip-worktree candidate/run; '
+        f'cp "{judged}" "$1/candidate/run"'
+    )
+    run_committing_agent(tmp_path, [chars_candidate(100)], judge=judge)
+    assert_round_0_measured_what_it_checked(tmp_path)
+
+
+FORGE_INDEX = """\
+import hashlib, sys
+
+# Point one entry of a version-2 git index at another blob, keeping its
+# cache tree, and write a valid trailing checksum.
+index, path, blob = sys.argv[1], sys.argv[2].encode(), bytes.fromhex(sys.argv[3])
+data = bytearray(open(index, "rb").read())
+offset, count = 12, int.from_bytes(data[8:12], "big")
+for _ in range(count):
+    length = int.from_bytes(data[offset + 60:offset + 62], "big") & 0xFFF
+    if data[offset + 62:offset + 62 + length] == path:
+        data[offset + 40:offset + 60] = blob
+    offset += (62 + length + 8) & ~7
+data[-20:] = hashlib.sha1(data[:-20]).digest()
+open(index, "wb").write(data)
+"""
+
+
+def test_a_judge_that_forges_the_checked_index_changes_nothing_measured(tmp_path):
+    # Round 0's Judge reads the checked tree into an index of its own, whose
+    # cache tree names that tree, points the candidate's entry at another
+    # blob and moves the file onto .git/forgeloop-index.
+    judged = tmp_path / "judged"
+    judged.write_text(chars_candidate(300))
+    forge = tmp_path / "forge_index.py"
+    forge.write_text(FORGE_INDEX)
+    judge = (
+        'T=$(GIT_INDEX_FILE="$1/.git/forgeloop-index" git -C "$1" write-tree); '
+        f'B=$(git -C "$1" hash-object -w "{judged}"); '
+        'GIT_INDEX_FILE="$1/.git/forged" git -C "$1" read-tree "$T" && '
+        f'"{sys.executable}" "{forge}" "$1/.git/forged" candidate/run "$B" && '
+        'mv "$1/.git/forged" "$1/.git/forgeloop-index"'
+    )
+    run_committing_agent(tmp_path, [chars_candidate(100)], judge=judge)
+    assert_round_0_measured_what_it_checked(tmp_path)
+
+
+def test_a_hook_an_agent_plants_runs_in_no_loop_git_call(tmp_path):
+    # A reference-transaction hook that fails would abort every ref update,
+    # the checkpoint's and the round-end reset's included.
+    hook = '"$1/.git/hooks/reference-transaction"'
+    _, git = run_committing_agent(
+        tmp_path,
+        [chars_candidate(100), chars_candidate(120), chars_candidate(140)],
+        before_commit=(
+            f'[ "$r" = 0 ] && mkdir -p "$1/.git/hooks" && printf "#!/bin/sh\\nexit 1\\n" > {hook} '
+            f"&& chmod +x {hook}"
+        ),
+    )
+    statuses = [e.payload["status"] for e in read_ledger(tmp_path / "ledger.jsonl") if e.kind == "round_finished"]
+    assert statuses == ["validated"] * 3
+    assert git("tag") == ["round-0", "round-1", "round-2"]
+
+
+def test_an_agent_that_deletes_a_gitignore_commits_no_loop_state(tmp_path):
+    # The loop's ignore rules are in .git/info/exclude, in no tree; the
+    # ledger inside the workspace keeps every event of the round.
+    ledger = tmp_path / "ws" / "ledger.jsonl"
+    _, git = run_committing_agent(
+        tmp_path,
+        [chars_candidate(100)],
+        before_commit='[ "$r" = 0 ] && rm -f "$1/.gitignore"',
+        policy_name="issue_tracker",
+        ledger_path=ledger,
+    )
+    kinds = [e.kind for e in read_ledger(ledger)]
+    assert kinds.count("checkpoint") == kinds.count("round_finished") == 1
+    assert git("ls-tree", "-r", "--name-only", "round-0") == ["candidate/run"]
 
 
 def test_a_ref_that_will_not_move_ends_only_its_round(tmp_path):

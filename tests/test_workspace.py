@@ -408,14 +408,13 @@ def test_validated_round_git_calls(toy_workspace, toy_contract, tmp_path, monkey
         server.shutdown()
     look()
     assert result.status is RoundStatus.VALIDATED
-    assert len(calls) <= 12, calls
+    assert len(calls) <= 10, calls
     # The checkpoint commits the checked tree and moves its refs by id.
     assert [cmd for caller, cmd in calls if caller == "commit_checkpoint"] == ["commit-tree", "update-ref"]
     # The round ends in its one reset, onto the new checkpoint: main is
-    # already there, and git's index already names its tree.
-    assert calls[-4:] == [
-        ("_check_out_main", "update-ref"), ("_index_tree", "write-tree"),
-        ("_check_out_tree", "checkout-index"), ("_clean", "clean"),
+    # already there, and git's index is the one the loop wrote for its tree.
+    assert calls[-3:] == [
+        ("_check_out_main", "update-ref"), ("_check_out_tree", "checkout-index"), ("_clean", "clean"),
     ]
     # Git's index is replaced once, by the checked index; HEAD is never
     # rewritten, and MEMORY.md is written over in place.
